@@ -1,40 +1,32 @@
 #!/usr/bin/env python
 """Perf-regression bench harness: pinned suite, JSON trajectory.
 
-Runs three pinned measurements and writes ``BENCH_<rev>.json`` so every
-revision leaves a comparable perf record:
+Runs six pinned measurements (seven with ``--big``) of the current code
+and writes ``BENCH_<rev>.json`` so every revision leaves a comparable
+perf record:
 
 1. **EventQueue micro-bench** — four event-scheduling shapes modeled on
    the simulator's real workloads (broadcast waves, serial token walks,
-   synchronizer pulses, transmit fan-out bursts), each driven twice: once
-   through a faithful reconstruction of the pre-optimization stack (the
-   one-entry-per-event heap queue plus the per-event
-   ``peek_time()``/``step()`` driver loop the ``Network`` used to run,
-   closures and all) and once through the current
-   :class:`repro.sim.events.EventQueue` drained by :meth:`run`.  Reported
-   as events/sec per shape plus aggregate speedup.
+   synchronizer pulses, transmit fan-out bursts), each seeded into a
+   :class:`repro.sim.events.EventQueue` and drained by :meth:`run`.
+   Reported as events/sec per shape.
 2. **Graph-kernel micro-bench** — the paper's parameter computations
    (all-sources eccentricities/diameter, max neighbor distance, Prim and
-   Kruskal MSTs) on pinned graph shapes, dict-of-dicts reference
-   algorithms vs the flat-array CSR kernels (:mod:`repro.graphs.csr`,
-   CSR build included in its timing).  Results are asserted equal before
-   anything is reported.
-3. **Network throughput** — a flooding broadcast on a pinned random
-   graph, reported as messages/sec and events/sec end to end.
-4. **Chaos sweep** — the chaos matrix through the sweep engine: serial
-   reference, the engine's own plan at ``--jobs N``, the forced
-   persistent pool (cold and warm), and a reconstruction of the
-   pre-optimization pool path (fresh executor per call, chunksize 1, no
-   warm-up) — asserting all row lists are identical and reporting every
-   wall time.
-5. **Tracing overhead** — the same flood as the network bench run three
+   Kruskal MSTs) through the flat-array CSR kernels
+   (:mod:`repro.graphs.csr`, CSR build included) on pinned graph shapes.
+3. **NumPy kernels** — the same workload on dense graphs through the
+   vectorized backend vs the pure-Python CSR kernels, asserted
+   value-identical (skipped with a marker when numpy is absent).
+4. **Network throughput** — a flooding broadcast on a pinned random
+   graph, reported as messages/sec end to end.
+5. **Chaos sweep** — the chaos matrix through the sweep engine: serial
+   reference, the engine's own plan at ``--jobs N``, and the forced
+   persistent pool (cold and warm) — asserting all row lists are
+   identical and reporting every wall time.
+6. **Tracing overhead** — the same flood as the network bench run three
    ways: no recorder at all, a disabled :class:`repro.obs.NullRecorder`
    (the "tracing compiled out" path — must stay within 2% of untraced),
    and a full :class:`repro.obs.TraceRecorder` capturing every event.
-6. **Serve tier** — the ``repro.serve`` content-addressed cache: a
-   pinned chaos-request mix served cold then warm (cache-hit speedup is
-   a hard >= 5x gate), plus 8 simultaneous duplicates coalesced onto one
-   execution with *exact* ServeStats accounting asserted.
 7. **Big tier** (``--big``) — the paper's graph families streamed
    directly into flat buffers at n = 10^5..10^6 (10^4 with ``--quick``),
    published once into shared memory and swept zero-copy through the
@@ -50,35 +42,35 @@ Usage::
     python scripts/bench.py --big           # add the shared-memory big tier
     python scripts/bench.py --jobs 4        # parallel sweep worker count
     python scripts/bench.py --out out.json  # explicit output path
-    python scripts/bench.py --compare BENCH_<rev>.json   # regression gate
+    python scripts/bench.py --compare BENCH_base.json   # regression gate
 
-``--compare`` diffs the fresh run against a prior artifact over every
-shared self-normalized metric (per-shape event-queue speedups, kernel
-speedups, sweep speedup, network throughput) and exits non-zero when the
-geomean ratio falls more than ``--tolerance`` (default 10%) below the
-baseline.  Metrics only one side has (e.g. a new bench section) are
-skipped, so the gate survives adding sections.
+``--compare`` diffs the fresh run against a report of the parent commit
+measured on the same machine with the same flags (CI runs the parent's
+own ``scripts/bench.py`` in the same job).  It takes the ratio of every
+higher-is-better metric both reports carry — raw rates such as
+events/sec, kernel runs/sec, messages/sec and big-tier cells/sec, plus
+the self-normalized numpy, sweep and tracing ratios — and exits non-zero
+when their geomean falls more than ``--tolerance`` (default 10%) below
+the baseline.  Metrics only one side has (e.g. a new bench section) are
+skipped; a compare with no shared metric, or of a ``--quick`` run
+against a full-size one, fails.
 
-Measurements interleave baseline/current repetitions and keep the minimum
-per side, which is robust against the noisy shared machines CI runs on.
+The micro-benches repeat ``--reps`` times and keep the minimum, which is
+robust against the noisy shared machines CI runs on.
 """
 
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import os
 import subprocess
 import sys
 import time
-from itertools import count
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-
-from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 
 from repro.experiments.parallel import (  # noqa: E402
     chaos_cells,
@@ -90,7 +82,6 @@ from repro.experiments.parallel import (  # noqa: E402
 )
 from repro.graphs import (  # noqa: E402
     complete_graph,
-    dijkstra,
     grid_graph,
     random_connected_graph,
 )
@@ -100,7 +91,6 @@ from repro.graphs.csr import (  # noqa: E402
     csr_kruskal_mst,
     csr_prim_mst,
 )
-from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts  # noqa: E402
 from repro.obs import NullRecorder, TraceRecorder  # noqa: E402
 from repro.obs.exporters import jsonable  # noqa: E402
 from repro.protocols.broadcast import FloodProcess  # noqa: E402
@@ -109,118 +99,23 @@ from repro.sim.network import Network  # noqa: E402
 
 
 # --------------------------------------------------------------------- #
-# Faithful pre-optimization baseline
-# --------------------------------------------------------------------- #
-
-
-class LegacyEventQueue:
-    """The pre-optimization queue: one ``(time, seq, callback)`` heap entry
-    per event (verbatim reconstruction of the old ``repro.sim.events``)."""
-
-    def __init__(self) -> None:
-        self._heap = []
-        self._seq = count()
-        self.now = 0.0
-
-    def schedule(self, delay, callback):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), callback))
-
-    def schedule_at(self, when, callback):
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        heapq.heappush(self._heap, (when, next(self._seq), callback))
-
-    def peek_time(self):
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self):
-        return len(self._heap)
-
-    def __bool__(self):
-        return bool(self._heap)
-
-    def step(self):
-        if not self._heap:
-            return False
-        when, _, callback = heapq.heappop(self._heap)
-        self.now = when
-        callback()
-        return True
-
-
-class _LegacyHarness:
-    """Stand-in for the old ``Network`` around its event loop (the budget
-    property it probed once per event)."""
-
-    comm_budget = None
-
-    @property
-    def budget_exhausted(self) -> bool:
-        return False
-
-
-def drive_legacy(queue, max_time=float("inf"), max_events=50_000_000):
-    """The pre-optimization ``Network.run`` event loop, per-event costs
-    intact: budget probe, ``stop_when`` check, ``peek_time()`` + ``step()``
-    method calls, and the counter/backstop compare."""
-    harness = _LegacyHarness()
-    stop_when = None
-    events = 0
-    while queue:
-        if harness.budget_exhausted:
-            break
-        if stop_when is not None and stop_when(harness):
-            break
-        if queue.peek_time() > max_time:
-            break
-        if not queue.step():
-            break
-        events += 1
-        if events >= max_events:
-            raise RuntimeError("runaway")
-    return events
-
-
-def drive_current(queue, max_time=float("inf")):
-    _, events = queue.run(max_time=max_time, check_halt=False)
-    return events
-
-
-# --------------------------------------------------------------------- #
-# Workload shapes
+# EventQueue workload shapes
 #
-# Each shape seeds a queue and returns the expected event count; the
-# legacy variant schedules closures through the old two-method API, the
-# current one uses ``schedule_call*``.  Both express the same traffic.
+# Each shape seeds a queue and returns the expected event count.
 # --------------------------------------------------------------------- #
 
 WAVE_NODES = 256
 WAVE_WEIGHTS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-CHAIN_STEPS_FULL = 60_000
 PULSE_NODES = 64
 BURST_FANOUT = 2
 BURST_WEIGHTS = (1.0, 2.0, 3.0)
 
 
-def seed_wave_legacy(q, rounds):
+def seed_wave(q, rounds):
     """Broadcast waves: each node re-delivers at a fixed weight from an
     8-value set, so nodes sharing a weight land on the same timestamps
     (heavy collision, like same-weight flooding fronts)."""
 
-    def deliver(node, left):
-        if left > 0:
-            w = WAVE_WEIGHTS[node & 7]
-            q.schedule(w, lambda n=node, r=left - 1: deliver(n, r))
-
-    for node in range(WAVE_NODES):
-        q.schedule(WAVE_WEIGHTS[node & 7],
-                   lambda n=node, r=rounds - 1: deliver(n, r))
-    return WAVE_NODES * rounds
-
-
-def seed_wave_current(q, rounds):
     def deliver(node, left):
         if left > 0:
             q.schedule_call(WAVE_WEIGHTS[node & 7], deliver, node, left - 1)
@@ -230,21 +125,9 @@ def seed_wave_current(q, rounds):
     return WAVE_NODES * rounds
 
 
-def seed_chain_legacy(q, steps):
+def seed_chain(q, steps):
     """Serial token walk: one live event, every timestamp distinct (the
     bucketing worst case — DFS-like traffic)."""
-    state = {"left": steps - 1}
-
-    def hop():
-        if state["left"] > 0:
-            state["left"] -= 1
-            q.schedule(1.0 + (state["left"] & 3) * 0.25, hop)
-
-    q.schedule(1.0, hop)
-    return steps
-
-
-def seed_chain_current(q, steps):
     state = {"left": steps - 1}
 
     def hop():
@@ -256,18 +139,8 @@ def seed_chain_current(q, steps):
     return steps
 
 
-def seed_pulse_legacy(q, pulses):
+def seed_pulse(q, pulses):
     """Synchronizer pulses: all nodes fire at every integer time."""
-    def fire(node, pulse):
-        if pulse > 1:
-            q.schedule_at(q.now + 1.0, lambda n=node, p=pulse - 1: fire(n, p))
-
-    for node in range(PULSE_NODES):
-        q.schedule_at(1.0, lambda n=node, p=pulses: fire(n, p))
-    return PULSE_NODES * pulses
-
-
-def seed_pulse_current(q, pulses):
     def fire(node, pulse):
         if pulse > 1:
             q.schedule_call_at(q.now + 1.0, fire, node, pulse - 1)
@@ -277,24 +150,9 @@ def seed_pulse_current(q, pulses):
     return PULSE_NODES * pulses
 
 
-def seed_burst_legacy(q, budget):
+def seed_burst(q, budget):
     """Transmit fan-out: each delivery forwards to 2 neighbors over edges
     with 3 distinct weights (flooding/GHS-like mixed collision traffic)."""
-    state = {"budget": budget - 1}
-
-    def deliver(node):
-        for i in range(BURST_FANOUT):
-            if state["budget"] <= 0:
-                return
-            state["budget"] -= 1
-            w = BURST_WEIGHTS[(node + i) % 3]
-            q.schedule(w, lambda n=node * BURST_FANOUT + i + 1: deliver(n))
-
-    q.schedule(1.0, lambda: deliver(0))
-    return budget
-
-
-def seed_burst_current(q, budget):
     state = {"budget": budget - 1}
 
     def deliver(node):
@@ -310,95 +168,50 @@ def seed_burst_current(q, budget):
 
 
 SHAPES = {
-    # name -> (legacy seeder, current seeder, full size, quick size)
-    "wave": (seed_wave_legacy, seed_wave_current, 240, 12),
-    "chain": (seed_chain_legacy, seed_chain_current, CHAIN_STEPS_FULL, 3_000),
-    "pulse": (seed_pulse_legacy, seed_pulse_current, 900, 45),
-    "fifo_burst": (seed_burst_legacy, seed_burst_current, 60_000, 3_000),
+    # name -> (seeder, full size, quick size)
+    "wave": (seed_wave, 240, 12),
+    "chain": (seed_chain, 60_000, 3_000),
+    "pulse": (seed_pulse, 900, 45),
+    "fifo_burst": (seed_burst, 60_000, 3_000),
 }
 
 
 def bench_event_queue(reps: int, quick: bool) -> dict:
     shapes = {}
     total_events = 0
-    total_legacy = 0.0
-    total_current = 0.0
-    for name, (legacy_seed, current_seed, full, small) in SHAPES.items():
+    total_s = 0.0
+    for name, (seed, full, small) in SHAPES.items():
         size = small if quick else full
-        best_legacy = best_current = float("inf")
+        best = float("inf")
         events = 0
-        # Interleave sides so machine noise hits both equally; keep minima.
         for _ in range(reps):
-            lq = LegacyEventQueue()
-            expected = legacy_seed(lq, size)
+            q = EventQueue()
+            events = seed(q, size)
             t0 = time.perf_counter()
-            ran = drive_legacy(lq)
-            best_legacy = min(best_legacy, time.perf_counter() - t0)
-            assert ran == expected, (name, "legacy", ran, expected)
-
-            cq = EventQueue()
-            expected = current_seed(cq, size)
-            t0 = time.perf_counter()
-            ran = drive_current(cq)
-            best_current = min(best_current, time.perf_counter() - t0)
-            assert ran == expected, (name, "current", ran, expected)
-            events = expected
+            _, ran = q.run(check_halt=False)
+            best = min(best, time.perf_counter() - t0)
+            assert ran == events, (name, ran, events)
         shapes[name] = {
             "events": events,
-            "legacy_s": best_legacy,
-            "current_s": best_current,
-            "legacy_events_per_s": events / best_legacy,
-            "current_events_per_s": events / best_current,
-            "speedup": best_legacy / best_current,
+            "current_s": best,
+            "current_events_per_s": events / best,
         }
         total_events += events
-        total_legacy += best_legacy
-        total_current += best_current
-    speedups = [s["speedup"] for s in shapes.values()]
-    geomean = 1.0
-    for s in speedups:
-        geomean *= s
-    geomean **= 1.0 / len(speedups)
+        total_s += best
     return {
         "shapes": shapes,
-        "aggregate": {
-            "total_events": total_events,
-            "legacy_s": total_legacy,
-            "current_s": total_current,
-            "speedup": total_legacy / total_current,
-            "geomean_speedup": geomean,
-        },
+        "aggregate": {"total_events": total_events, "current_s": total_s},
     }
 
 
 # --------------------------------------------------------------------- #
-# Graph-kernel micro-bench (dict reference vs CSR)
+# Graph-kernel micro-benches
 # --------------------------------------------------------------------- #
-
-
-def _dict_scan(graph):
-    """The pre-CSR parameter pass: one dict Dijkstra per source, then the
-    edge sweep for the max neighbor distance (what ``GraphParamCache``
-    used to run).  Returns ``(ecc, diameter, max_nbr)``."""
-    n = graph.num_vertices
-    ecc = {}
-    dists = {}
-    for s in graph.vertices:
-        dist, _ = dijkstra(graph, s)
-        dists[s] = dist
-        ecc[s] = max(dist.values()) if len(dist) == n else float("inf")
-    diameter = max(ecc.values()) if ecc else 0.0
-    max_nbr = 0.0
-    for u, v, _ in graph.edges():
-        d = dists[u].get(v, float("inf"))
-        if d > max_nbr:
-            max_nbr = d
-    return ecc, diameter, max_nbr
 
 
 def _kernel_graphs(quick: bool) -> dict:
     """Pinned shapes: integer random weights, and two unit-weight
-    (maximally tie-heavy) topologies that stress tie-breaking identity."""
+    (maximally tie-heavy) topologies that stress tie-breaking."""
     if quick:
         return {
             "random_sparse": random_connected_graph(48, 96, seed=13),
@@ -415,43 +228,20 @@ def _kernel_graphs(quick: bool) -> dict:
 def bench_graph_kernels(reps: int, quick: bool) -> dict:
     shapes = {}
     for name, graph in _kernel_graphs(quick).items():
-        best_dict = best_csr = float("inf")
+        best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            d_ecc, d_diam, d_nbr = _dict_scan(graph)
-            d_prim = prim_mst_dicts(graph)
-            d_kruskal = kruskal_mst_dicts(graph)
-            best_dict = min(best_dict, time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
             csr = CSRGraph(graph)  # build is part of the kernel cost
-            scan = all_sources_scan(csr)
-            c_prim = csr_prim_mst(csr)
-            c_kruskal = csr_kruskal_mst(csr)
-            best_csr = min(best_csr, time.perf_counter() - t0)
-
-        c_ecc = dict(zip(csr.verts, scan.ecc))
-        assert d_ecc == c_ecc, (name, "eccentricities differ")
-        assert d_diam == scan.diameter, (name, "diameter differs")
-        assert d_nbr == scan.max_neighbor_distance, (name, "max nbr differs")
-        assert list(d_prim.edges()) == list(c_prim.edges()), \
-            (name, "prim MST differs")
-        assert list(d_kruskal.edges()) == list(c_kruskal.edges()), \
-            (name, "kruskal differs")
-
+            all_sources_scan(csr)
+            csr_prim_mst(csr)
+            csr_kruskal_mst(csr)
+            best = min(best, time.perf_counter() - t0)
         shapes[name] = {
             "n": graph.num_vertices,
             "m": graph.num_edges,
-            "dict_s": best_dict,
-            "csr_s": best_csr,
-            "speedup": best_dict / best_csr,
+            "csr_s": best,
         }
-    speedups = [s["speedup"] for s in shapes.values()]
-    geomean = 1.0
-    for s in speedups:
-        geomean *= s
-    geomean **= 1.0 / len(speedups)
-    return {"shapes": shapes, "aggregate": {"geomean_speedup": geomean}}
+    return {"shapes": shapes}
 
 
 def _np_kernel_graphs(quick: bool) -> dict:
@@ -616,90 +406,6 @@ def bench_tracing(reps: int, quick: bool) -> dict:
     }
 
 
-def bench_serve(jobs: int, quick: bool) -> dict:
-    """The serve tier: content-addressed cache vs re-execution.
-
-    One in-process :class:`repro.serve.ServeClient` over a fresh
-    persistent store serves a pinned mix of chaos requests cold, then the
-    identical mix again (pure cache hits), then 8 simultaneous duplicates
-    of a new request (single-flight coalescing).  ServeStats counts are
-    asserted *exactly* — the dedupe ledger is the result — and the
-    cache-hit speedup is a hard >= 5x acceptance gate, enforced in
-    ``main`` alongside the row-identity gates.
-    """
-    import tempfile
-
-    from repro.serve import ServeClient, payload_bytes
-
-    if quick:
-        protos, n, extra = ("broadcast", "dfs"), 12, 18
-    else:
-        protos, n, extra = ("broadcast", "convergecast", "dfs", "mst_ghs"), 12, 18
-    mix = [
-        {"kind": "chaos", "protocol": p, "n": n, "extra_edges": extra,
-         "graph_seed": gs, "drop": drop, "backend": "python"}
-        for p in protos
-        for gs, drop in ((2, 0.0), (3, 0.2))
-    ]
-    fanout = 8
-    straggler = {"kind": "chaos", "protocol": protos[0], "n": n,
-                 "extra_edges": extra, "graph_seed": 5, "drop": 0.1,
-                 "backend": "python"}
-
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as root:
-        with ServeClient(cache_dir=root, jobs=jobs) as client:
-            t0 = time.perf_counter()
-            cold = [client.request(r) for r in mix]
-            cold_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            warm = [client.request(r) for r in mix]
-            warm_s = time.perf_counter() - t0
-
-            identical = all(
-                payload_bytes(c["payload"]) == payload_bytes(w["payload"])
-                and c["payload_sha"] == w["payload_sha"]
-                for c, w in zip(cold, warm)
-            )
-
-            t0 = time.perf_counter()
-            dup = client.request_many([dict(straggler)] * fanout)
-            coalesce_s = time.perf_counter() - t0
-            stats = client.stats()
-
-    sources = sorted(r["source"] for r in dup)
-    coalesced_ok = sources == ["coalesced"] * (fanout - 1) + ["executed"]
-    expected = {"hits": len(mix), "misses": len(mix) + 1,
-                "coalesced": fanout - 1}
-    counts_exact = all(stats[k] == v for k, v in expected.items())
-    hit_speedup = cold_s / warm_s if warm_s else float("inf")
-    return {
-        "requests": len(mix),
-        "jobs": jobs,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "cold_rps": len(mix) / cold_s,
-        "warm_rps": len(mix) / warm_s,
-        "hit_speedup": hit_speedup,
-        "coalesce": {"fanout": fanout, "wall_s": coalesce_s,
-                     "sources_exact": coalesced_ok},
-        "stats": {k: stats[k] for k in
-                  ("hits", "misses", "coalesced", "rejected", "errors",
-                   "p50_ms", "p99_ms")},
-        "expected": expected,
-        "counts_exact": counts_exact,
-        "identical": identical,
-    }
-
-
-def _legacy_pool_map(fn, cells, jobs):
-    """The pre-optimization parallel path: a fresh executor per call,
-    chunksize 1, no worker warm-up — every call re-pays pool spin-up and
-    every worker rebuilds its reference runs from scratch."""
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells, chunksize=1))
-
-
 def bench_chaos_sweep(jobs: int, quick: bool) -> dict:
     if quick:
         per_seed = dict(n=10, extra_edges=12, drop_rates=(0.0, 0.2))
@@ -737,24 +443,16 @@ def bench_chaos_sweep(jobs: int, quick: bool) -> dict:
     pool_warm_s = time.perf_counter() - t0
     shutdown_pool()
 
-    t0 = time.perf_counter()
-    legacy = _legacy_pool_map(run_chaos_cell, cells, jobs)
-    legacy_pool_s = time.perf_counter() - t0
-
     return {
         "rows": len(serial),
         "graph_seeds": list(graph_seeds),
         "jobs": jobs,
         "serial_s": serial_s,
         "engine_s": engine_s,
-        "parallel_s": engine_s,  # legacy key: trajectory continuity
         "pool_cold_s": pool_cold_s,
         "pool_warm_s": pool_warm_s,
-        "legacy_pool_s": legacy_pool_s,
         "speedup": serial_s / engine_s if engine_s else float("inf"),
-        "pool_vs_legacy": legacy_pool_s / pool_warm_s
-        if pool_warm_s else float("inf"),
-        "identical": serial == engine == pool_cold == pool_warm == legacy,
+        "identical": serial == engine == pool_cold == pool_warm,
     }
 
 
@@ -971,19 +669,14 @@ def bench_big(jobs: int, quick: bool) -> dict:
 
 def comparable_metrics(report: dict) -> dict:
     """Flatten a bench report to the higher-is-better metrics worth
-    diffing across revisions: self-normalized speedups plus the one raw
-    throughput rate (same-machine artifacts only, as in CI)."""
+    diffing across revisions: raw rates of the current code plus the
+    self-normalized numpy, sweep and tracing ratios.  Raw rates only
+    compare between reports measured on the same machine, as in CI."""
     m = {}
-    eq = report.get("event_queue", {})
-    for name, s in eq.get("shapes", {}).items():
-        m[f"event_queue/{name}/speedup"] = s["speedup"]
-    if "aggregate" in eq:
-        m["event_queue/geomean_speedup"] = eq["aggregate"]["geomean_speedup"]
-    gk = report.get("graph_kernels", {})
-    for name, s in gk.get("shapes", {}).items():
-        m[f"graph_kernels/{name}/speedup"] = s["speedup"]
-    if "aggregate" in gk:
-        m["graph_kernels/geomean_speedup"] = gk["aggregate"]["geomean_speedup"]
+    for name, s in report.get("event_queue", {}).get("shapes", {}).items():
+        m[f"event_queue/{name}/events_per_s"] = s["current_events_per_s"]
+    for name, s in report.get("graph_kernels", {}).get("shapes", {}).items():
+        m[f"graph_kernels/{name}/runs_per_s"] = 1.0 / s["csr_s"]
     nk = report.get("npkernels", {})
     for name, s in nk.get("shapes", {}).items():
         m[f"npkernels/{name}/speedup"] = s["speedup"]
@@ -998,13 +691,7 @@ def comparable_metrics(report: dict) -> dict:
     tr = report.get("tracing", {})
     if "disabled_ratio" in tr:
         m["tracing/disabled_ratio"] = tr["disabled_ratio"]
-    sv = report.get("serve", {})
-    if "hit_speedup" in sv:
-        m["serve/hit_speedup"] = sv["hit_speedup"]
-    if "warm_rps" in sv:
-        m["serve/warm_rps"] = sv["warm_rps"]
-    big = report.get("big_tier", {})
-    rand = big.get("random", {})
+    rand = report.get("big_tier", {}).get("random", {})
     # Only the random family's stripe throughput gates: its per-cell cost
     # (cell_size x avg degree) is size-independent between the quick and
     # full shapes, unlike the absolute build times.
@@ -1021,7 +708,8 @@ def compare_reports(current: dict, baseline: dict,
 
     Only metrics present in *both* reports count (new bench sections
     don't trip the gate); the gate fails when the geomean of
-    current/baseline ratios drops below ``1 - tolerance``.
+    current/baseline ratios drops below ``1 - tolerance``, and when the
+    reports share no metric at all (nothing was compared).
     """
     cur = comparable_metrics(current)
     base = comparable_metrics(baseline)
@@ -1031,7 +719,7 @@ def compare_reports(current: dict, baseline: dict,
         if prior and prior > 0 and value > 0:
             ratios[key] = value / prior
     if not ratios:
-        return True, 1.0, {}
+        return False, 0.0, {}
     geomean = 1.0
     for r in ratios.values():
         geomean *= r
@@ -1042,10 +730,15 @@ def compare_reports(current: dict, baseline: dict,
 def run_compare(report: dict, baseline_path: Path, tolerance: float) -> bool:
     baseline = json.loads(baseline_path.read_text())
     if bool(report.get("quick")) != bool(baseline.get("quick")):
-        print(f"WARNING: comparing quick={report.get('quick')} run against "
-              f"quick={baseline.get('quick')} baseline; sizes differ",
-              file=sys.stderr)
+        print(f"FAIL: cannot compare a quick={bool(report.get('quick'))} run "
+              f"against a quick={bool(baseline.get('quick'))} baseline "
+              f"({baseline_path.name}); sizes differ", file=sys.stderr)
+        return False
     ok, geomean, ratios = compare_reports(report, baseline, tolerance)
+    if not ratios:
+        print(f"FAIL: {baseline_path.name} shares no metric with this run; "
+              f"nothing was compared", file=sys.stderr)
+        return False
     print(f"compare vs {baseline_path.name} "
           f"(rev {baseline.get('rev', '?')}, tolerance {tolerance:.0%}):")
     for key in sorted(ratios):
@@ -1085,8 +778,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=None,
                     help="output path (default BENCH_<rev>.json in repo root)")
     ap.add_argument("--compare", type=Path, default=None,
-                    help="prior BENCH_<rev>.json to diff against; exits "
-                         "non-zero on geomean regression beyond --tolerance")
+                    help="BENCH_*.json of the parent commit, measured on this "
+                         "machine with the same flags; exits non-zero on "
+                         "geomean regression beyond --tolerance")
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="allowed geomean regression for --compare "
                          "(default 0.10 = 10%%)")
@@ -1107,7 +801,6 @@ def main(argv: list[str] | None = None) -> int:
         "network": bench_network(reps, args.quick),
         "chaos_sweep": bench_chaos_sweep(args.jobs, args.quick),
         "tracing": bench_tracing(reps, args.quick),
-        "serve": bench_serve(args.jobs, args.quick),
     }
     if args.big:
         report["big_tier"] = bench_big(args.jobs, args.quick)
@@ -1120,18 +813,13 @@ def main(argv: list[str] | None = None) -> int:
     eq = report["event_queue"]
     for name, s in eq["shapes"].items():
         print(f"{name:12s} {s['events']:>8d} ev  "
-              f"legacy {s['legacy_events_per_s']:>12,.0f}/s  "
-              f"current {s['current_events_per_s']:>12,.0f}/s  "
-              f"x{s['speedup']:.2f}")
+              f"{s['current_events_per_s']:>12,.0f} ev/s")
     agg = eq["aggregate"]
     print(f"{'aggregate':12s} {agg['total_events']:>8d} ev  "
-          f"speedup x{agg['speedup']:.2f}  (geomean x{agg['geomean_speedup']:.2f})")
-    gk = report["graph_kernels"]
-    for name, s in gk["shapes"].items():
+          f"{agg['current_s'] * 1e3:.2f}ms")
+    for name, s in report["graph_kernels"]["shapes"].items():
         print(f"kernel {name:14s} n={s['n']:<4d} m={s['m']:<5d} "
-              f"dict {s['dict_s'] * 1e3:>8.2f}ms  csr {s['csr_s'] * 1e3:>8.2f}ms  "
-              f"x{s['speedup']:.2f}")
-    print(f"kernel geomean x{gk['aggregate']['geomean_speedup']:.2f}")
+              f"csr {s['csr_s'] * 1e3:>8.2f}ms")
     nk = report["npkernels"]
     if "skipped" in nk:
         print(f"npkernels: skipped ({nk['skipped']})")
@@ -1149,8 +837,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"chaos sweep: {cs['rows']} rows, serial {cs['serial_s']:.2f}s, "
           f"engine jobs={cs['jobs']} {cs['engine_s']:.2f}s (x{cs['speedup']:.2f}), "
           f"pool cold {cs['pool_cold_s']:.2f}s / warm {cs['pool_warm_s']:.2f}s, "
-          f"legacy pool {cs['legacy_pool_s']:.2f}s "
-          f"(pool vs legacy x{cs['pool_vs_legacy']:.2f}), "
           f"identical={cs['identical']}")
     tr = report["tracing"]
     print(f"tracing: untraced {tr['untraced_s'] * 1e3:.2f}ms, "
@@ -1159,12 +845,6 @@ def main(argv: list[str] | None = None) -> int:
           f"recording {tr['recording_s'] * 1e3:.2f}ms "
           f"({tr['recording_overhead_pct']:+.2f}%, "
           f"{tr['trace_events']} events)")
-    sv = report["serve"]
-    print(f"serve: {sv['requests']} requests, cold {sv['cold_s']:.2f}s "
-          f"({sv['cold_rps']:.1f}/s), warm {sv['warm_s'] * 1e3:.1f}ms "
-          f"({sv['warm_rps']:,.0f}/s), hit speedup x{sv['hit_speedup']:.1f}, "
-          f"coalesce {sv['coalesce']['fanout']} dup -> 1 exec, "
-          f"counts_exact={sv['counts_exact']}, identical={sv['identical']}")
     if args.big:
         big = report["big_tier"]
         for fam in ("lower_bound", "split", "random"):
@@ -1191,15 +871,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if not cs["identical"]:
         print("FATAL: parallel sweep rows differ from serial", file=sys.stderr)
-        return 1
-    if not (sv["identical"] and sv["counts_exact"]
-            and sv["coalesce"]["sources_exact"]):
-        print("FATAL: serve tier broke cache identity or exact dedupe counts",
-              file=sys.stderr)
-        return 1
-    if sv["hit_speedup"] < 5.0:
-        print(f"FATAL: serve cache-hit speedup x{sv['hit_speedup']:.1f} "
-              f"below the 5x floor", file=sys.stderr)
         return 1
     if args.big:
         big = report["big_tier"]

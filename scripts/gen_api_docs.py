@@ -27,7 +27,6 @@ PACKAGES = [
     "repro.experiments",
     "repro.analysis",
     "repro.replay",
-    "repro.serve",
 ]
 
 

@@ -9,18 +9,6 @@ invalidates the pinned traces — the diff then shows exactly which runs
 changed, and ``python -m repro.replay diff`` localizes where.
 
 Run:  python scripts/record_golden.py [--out-dir DIR]
-
-Fleet mode (``--fleet N``) records a *sharded* N-trace corpus through
-the persistent pool instead — a deterministic protocol x seed x
-adversary grid (:func:`repro.replay.fleet.fleet_specs`) written to
-``--out-dir`` (default ``corpus/fleet``) as ``shard-NN/*.jsonl`` plus a
-``manifest.json`` of per-trace SHA-256s.  ``--check`` replays an
-existing fleet corpus (optionally ``--sample K`` of it) and verifies
-byte-identity; ``tests/test_golden_fleet.py`` samples the same machinery
-in tier-1 under the ``fleet`` marker.
-
-Run:  python scripts/record_golden.py --fleet 1000 --jobs 8
-      python scripts/record_golden.py --fleet 1000 --check --sample 50
 """
 
 from __future__ import annotations
@@ -32,15 +20,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.experiments.parallel import shutdown_pool  # noqa: E402
 from repro.faults import CrashWindow, FaultPlan  # noqa: E402
-from repro.replay import (  # noqa: E402
-    ReplaySpec,
-    check_fleet,
-    check_golden,
-    record_fleet,
-    record_golden,
-)
+from repro.replay import ReplaySpec, check_golden, record_golden  # noqa: E402
 
 #: name -> spec. Keep these SMALL (they are committed) and diverse: a
 #: fault-free run, a lossy run, a crash-recover run, and the synchronizer.
@@ -59,42 +40,11 @@ SPECS = {
 }
 
 
-def _fleet_main(args: argparse.Namespace) -> int:
-    out = args.out_dir or str(REPO / "corpus" / "fleet")
-    try:
-        if args.check:
-            report = check_fleet(out, jobs=args.jobs, sample=args.sample)
-            print(f"fleet: replayed {report['replayed']}/{report['total']} "
-                  f"trace(s), ok={report['ok']}")
-            for path, desc in sorted(report["failures"].items()):
-                print(f"  FAIL {path}: {desc}")
-            return 0 if report["ok"] else 1
-        manifest = record_fleet(out, args.fleet, jobs=args.jobs)
-        print(f"fleet: recorded {len(manifest['traces'])} trace(s) -> {out}")
-        return 0
-    finally:
-        shutdown_pool()
-
-
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-dir", default=None,
-                        help="corpus directory (default: tests/fixtures/golden,"
-                             " or corpus/fleet in --fleet mode)")
-    parser.add_argument("--fleet", type=int, default=None, metavar="N",
-                        help="record/check an N-trace sharded fleet corpus "
-                             "through the pool instead of the committed set")
-    parser.add_argument("--check", action="store_true",
-                        help="with --fleet: verify an existing corpus instead "
-                             "of recording")
-    parser.add_argument("--sample", type=int, default=None, metavar="K",
-                        help="with --fleet --check: replay a deterministic "
-                             "K-trace sample instead of the whole corpus")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="pool workers for fleet record/check")
+                        help="corpus directory (default: tests/fixtures/golden)")
     args = parser.parse_args()
-    if args.fleet is not None:
-        return _fleet_main(args)
     out = Path(args.out_dir or str(REPO / "tests" / "fixtures" / "golden"))
     out.mkdir(parents=True, exist_ok=True)
     status = 0

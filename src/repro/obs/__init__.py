@@ -39,20 +39,7 @@ from .profiler import Profiler, TraceSummary
 from .recorder import EVENT_KINDS, NullRecorder, TraceEvent, TraceRecorder
 from .runtime import TraceSession, current_session, default_recorder, tracing
 
-
-def __getattr__(name: str):
-    # The serve layer's counter block is part of the observability
-    # surface (`from repro.obs import ServeStats`), but resolved lazily:
-    # importing repro.obs must not pull the whole service stack in.
-    if name == "ServeStats":
-        from ..serve.stats import ServeStats
-
-        return ServeStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ServeStats",
     "EVENT_KINDS",
     "TraceEvent",
     "TraceRecorder",

@@ -40,14 +40,6 @@ from .engine import (
     spec_of,
     verify_trace,
 )
-from .fleet import (
-    FLEET_PROTOCOLS,
-    check_fleet,
-    fleet_paths,
-    fleet_sample,
-    fleet_specs,
-    record_fleet,
-)
 #: Fuzzer names re-exported lazily (module ``__getattr__`` below) so that
 #: ``python -m repro.replay.fuzz`` does not import the submodule twice
 #: (once here, once as ``__main__`` — runpy warns about that).
@@ -88,12 +80,6 @@ __all__ = [
     "Divergence",
     "first_divergence",
     "bisect_divergence",
-    "FLEET_PROTOCOLS",
-    "fleet_specs",
-    "fleet_paths",
-    "fleet_sample",
-    "record_fleet",
-    "check_fleet",
     "FuzzCell",
     "FuzzResult",
     "evaluate_cell",
