@@ -12,11 +12,11 @@ perf record:
    Reported as events/sec per shape.
 2. **Graph-kernel micro-bench** — the paper's parameter computations
    (all-sources eccentricities/diameter, max neighbor distance, Prim and
-   Kruskal MSTs) through the flat-array CSR kernels
-   (:mod:`repro.graphs.csr`, CSR build included) on pinned graph shapes.
-3. **NumPy kernels** — the same workload on dense graphs through the
-   vectorized backend vs the pure-Python CSR kernels, asserted
-   value-identical (skipped with a marker when numpy is absent).
+   Kruskal MSTs) through the snapshot kernels (:mod:`repro.graphs.csr`,
+   snapshot build included) on pinned graph shapes.
+3. **NumPy kernels** — the same workload on dense graphs, the scan on
+   the path the graph selects (Floyd–Warshall there) vs the Python
+   loop, asserted value-identical.
 4. **Network throughput** — a flooding broadcast on a pinned random
    graph, reported as messages/sec end to end.
 5. **Chaos sweep** — the chaos matrix through the sweep engine: serial
@@ -86,10 +86,12 @@ from repro.graphs import (  # noqa: E402
     random_connected_graph,
 )
 from repro.graphs.csr import (  # noqa: E402
-    CSRGraph,
-    all_sources_scan,
+    FlatGraph,
+    _fw_applicable,
+    _python_scan,
     csr_kruskal_mst,
     csr_prim_mst,
+    source_scan,
 )
 from repro.obs import NullRecorder, TraceRecorder  # noqa: E402
 from repro.obs.exporters import jsonable  # noqa: E402
@@ -231,10 +233,10 @@ def bench_graph_kernels(reps: int, quick: bool) -> dict:
         best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            csr = CSRGraph(graph)  # build is part of the kernel cost
-            all_sources_scan(csr)
-            csr_prim_mst(csr)
-            csr_kruskal_mst(csr)
+            flat = FlatGraph.from_graph(graph)  # build is part of the cost
+            source_scan(flat)
+            csr_prim_mst(flat)
+            csr_kruskal_mst(flat)
             best = min(best, time.perf_counter() - t0)
         shapes[name] = {
             "n": graph.num_vertices,
@@ -245,15 +247,13 @@ def bench_graph_kernels(reps: int, quick: bool) -> dict:
 
 
 def _np_kernel_graphs(quick: bool) -> dict:
-    """Shapes for the numpy-vs-python kernel comparison.
+    """Shapes for the selected-path vs Python-loop comparison.
 
-    Dense, exact-integer graphs: the regime the vectorized backend
-    targets (its all-pairs scan runs a cache-resident int32
-    Floyd-Warshall there, where work per source is O(n^2) for *both*
-    backends but numpy streams it at SIMD speed).  Sparse
-    high-hop-diameter shapes — grids, bounded-degree expanders — favor
-    ``REPRO_KERNEL_BACKEND=python`` and are deliberately not benched
-    here; docs/PERF.md records that boundary.
+    Dense, exact-integer graphs: the regime where the scan selects a
+    cache-resident int32 Floyd–Warshall (work per source is O(n^2) for
+    both paths, but numpy streams it at SIMD speed).  Sparse
+    high-hop-diameter shapes select the Python loop themselves, so there
+    is nothing to compare; docs/PERF.md records that boundary.
     """
     if quick:
         return {
@@ -269,53 +269,39 @@ def _np_kernel_graphs(quick: bool) -> dict:
 
 
 def bench_npkernels(reps: int, quick: bool) -> dict:
-    """NumPy backend vs the pure-Python CSR kernels (build + scan + MSTs).
+    """The scan path the graph selects vs the Python loop (build + scan + MSTs).
 
     Every rep runs the full parameter workload — snapshot build,
-    all-sources scan, Prim, Kruskal — on both backends and asserts the
-    results are value-identical before timing is trusted.  Skipped (with
-    a marker, so the report key is always present) when numpy is absent.
+    all-sources scan, Prim, Kruskal — once with the scan forced onto the
+    Python loop and once through :func:`source_scan`, and asserts the
+    scans are value-identical before timing is trusted.
     """
-    from repro.graphs.npkernels import (
-        NPGraph,
-        np_all_sources_scan,
-        np_kruskal_mst,
-        np_prim_mst,
-        numpy_available,
-    )
-
-    if not numpy_available():
-        return {"skipped": "numpy not installed"}
     shapes = {}
     for name, graph in _np_kernel_graphs(quick).items():
-        best_py = best_np = float("inf")
+        best_py = best_sel = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            csr = CSRGraph(graph)  # build is part of the kernel cost
-            scan = all_sources_scan(csr)
-            prim = csr_prim_mst(csr)
-            kruskal = csr_kruskal_mst(csr)
+            flat = FlatGraph.from_graph(graph)  # build is part of the cost
+            scan = _python_scan(flat, 0, flat.n)
+            csr_prim_mst(flat)
+            csr_kruskal_mst(flat)
             best_py = min(best_py, time.perf_counter() - t0)
 
             t0 = time.perf_counter()
-            npg = NPGraph(CSRGraph(graph))
-            np_scan = np_all_sources_scan(npg)
-            np_prim = np_prim_mst(npg)
-            np_kruskal = np_kruskal_mst(npg)
-            best_np = min(best_np, time.perf_counter() - t0)
+            flat = FlatGraph.from_graph(graph)
+            selected = source_scan(flat)
+            csr_prim_mst(flat)
+            csr_kruskal_mst(flat)
+            best_sel = min(best_sel, time.perf_counter() - t0)
 
-        assert np_scan == scan, (name, "scan differs")
-        assert list(np_prim.edges()) == list(prim.edges()), \
-            (name, "prim MST differs")
-        assert list(np_kruskal.edges()) == list(kruskal.edges()), \
-            (name, "kruskal differs")
-
+        assert selected == scan, (name, "scan differs")
         shapes[name] = {
             "n": graph.num_vertices,
             "m": graph.num_edges,
+            "path": "floyd-warshall" if _fw_applicable(flat) else "python",
             "python_s": best_py,
-            "numpy_s": best_np,
-            "speedup": best_py / best_np,
+            "selected_s": best_sel,
+            "speedup": best_py / best_sel,
         }
     speedups = [s["speedup"] for s in shapes.values()]
     geomean = 1.0
@@ -500,7 +486,7 @@ def _fold_stripe_rows(rows: list[dict]) -> dict:
 
 
 def _big_family(name: str, builder, *, jobs: int, cells_target: int,
-                sources: int, kernel: str) -> dict:
+                sources: int) -> dict:
     """Build one graph family, publish it once, and sweep it twice.
 
     The returned record carries the acceptance counters: ``graph_builds``
@@ -532,12 +518,12 @@ def _big_family(name: str, builder, *, jobs: int, cells_target: int,
 
     t0 = time.perf_counter()
     src_pool = snapshot_rows(handle, kind="sources", limit=sources,
-                             cell_size=1, kernel=kernel, force="pool",
+                             cell_size=1, force="pool",
                              jobs=jobs)
     sources_pool_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     src_serial = snapshot_rows(handle, kind="sources", limit=sources,
-                               cell_size=1, kernel=kernel, force="serial")
+                               cell_size=1, force="serial")
     sources_serial_s = time.perf_counter() - t0
     sources_identical = src_pool == src_serial
 
@@ -558,7 +544,6 @@ def _big_family(name: str, builder, *, jobs: int, cells_target: int,
         "serial_cells_per_s": len(serial_rows) / serial_s,
         "pool_cells_per_s": len(pool_rows) / pool_s,
         "sources": sources,
-        "sources_kernel": kernel,
         "sources_pool_s": sources_pool_s,
         "sources_serial_s": sources_serial_s,
         "reach_min": min(r["reach_min"] for r in src_serial),
@@ -618,37 +603,30 @@ def bench_big(jobs: int, quick: bool) -> dict:
     from repro.graphs import lower_bound_flat, lower_bound_split_flat, \
         random_connected_flat
     from repro.graphs import shm
-    from repro.graphs.npkernels import numpy_available
 
     budget_mb = BIG_BUDGET_QUICK_MB if quick else BIG_BUDGET_MB
     if quick:
         families = {
-            # G_n is path-like: numpy's round-based relaxation needs ~n
-            # rounds there, so its sources pin the Python heap kernel.
-            "lower_bound": (lambda: lower_bound_flat(10_000), 4, "python"),
-            "split": (lambda: lower_bound_split_flat(10_000, 100), 4,
-                      "python"),
+            "lower_bound": (lambda: lower_bound_flat(10_000), 4),
+            "split": (lambda: lower_bound_split_flat(10_000, 100), 4),
             "random": (lambda: random_connected_flat(10_000, 20_000, seed=29),
-                       8, "numpy" if numpy_available() else "python"),
+                       8),
         }
         cells_target = 1_000
     else:
         families = {
-            "lower_bound": (lambda: lower_bound_flat(1_000_000), 2, "python"),
-            "split": (lambda: lower_bound_split_flat(100_000, 1_000), 4,
-                      "python"),
+            "lower_bound": (lambda: lower_bound_flat(1_000_000), 2),
+            "split": (lambda: lower_bound_split_flat(100_000, 1_000), 4),
             "random": (lambda: random_connected_flat(100_000, 200_000,
-                                                     seed=29),
-                       8, "numpy" if numpy_available() else "python"),
+                                                     seed=29), 8),
         }
         cells_target = 10_000
 
     shutdown_pool()  # fresh workers; also unlinks any earlier segments
     out: dict = {"budget_mb": budget_mb, "cells_target": cells_target}
-    for name, (builder, sources, kernel) in families.items():
+    for name, (builder, sources) in families.items():
         out[name] = _big_family(name, builder, jobs=jobs,
-                                cells_target=cells_target, sources=sources,
-                                kernel=kernel)
+                                cells_target=cells_target, sources=sources)
     out["traced_flood"] = _big_traced_flood(quick)
     out["shm"] = {k: v for k, v in shm.stats().items()
                   if k.startswith("shm_")}
@@ -821,15 +799,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kernel {name:14s} n={s['n']:<4d} m={s['m']:<5d} "
               f"csr {s['csr_s'] * 1e3:>8.2f}ms")
     nk = report["npkernels"]
-    if "skipped" in nk:
-        print(f"npkernels: skipped ({nk['skipped']})")
-    else:
-        for name, s in nk["shapes"].items():
-            print(f"npkern {name:14s} n={s['n']:<4d} m={s['m']:<5d} "
-                  f"python {s['python_s'] * 1e3:>8.2f}ms  "
-                  f"numpy {s['numpy_s'] * 1e3:>8.2f}ms  "
-                  f"x{s['speedup']:.2f}")
-        print(f"npkern geomean x{nk['aggregate']['geomean_speedup']:.2f}")
+    for name, s in nk["shapes"].items():
+        print(f"npkern {name:14s} n={s['n']:<4d} m={s['m']:<5d} "
+              f"python {s['python_s'] * 1e3:>8.2f}ms  "
+              f"{s['path']} {s['selected_s'] * 1e3:>8.2f}ms  "
+              f"x{s['speedup']:.2f}")
+    print(f"npkern geomean x{nk['aggregate']['geomean_speedup']:.2f}")
     net = report["network"]
     print(f"network flood: {net['messages']} msgs, "
           f"{net['messages_per_s']:,.0f} msgs/s")
@@ -855,7 +830,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"stripe {f['stripe']['cells']} cells "
                   f"serial {f['serial_cells_per_s']:,.0f}/s "
                   f"pool {f['pool_cells_per_s']:,.0f}/s  "
-                  f"sources({f['sources_kernel']}) {f['sources_pool_s']:.2f}s  "
+                  f"sources {f['sources_pool_s']:.2f}s  "
                   f"attaches={f['worker_attaches']} "
                   f"rebuilds={f['worker_rebuilds']}  "
                   f"identical={f['identical']}")

@@ -103,8 +103,8 @@ _CHUNK_WAVES = 4
 # cells; below that, fork + pickle overhead beats the parallel win.
 _MIN_CELLS_PER_WORKER = 2
 
-# The one live pool, keyed by the (jobs, warm, kernel backend) shape
-# that built it.
+# The one live pool, keyed by the (jobs, warm, snapshots) shape that
+# built it.
 _pool: ProcessPoolExecutor | None = None
 _pool_key: tuple | None = None
 _atexit_registered = False
@@ -136,11 +136,7 @@ def parallel_plan(
     return ("pool", max(1, n_cells // (jobs * _CHUNK_WAVES)))
 
 
-def _worker_init(
-    warm: tuple = (),
-    kernel_backend: str | None = None,
-    snapshots: tuple = (),
-) -> None:
+def _worker_init(warm: tuple = (), snapshots: tuple = ()) -> None:
     """Per-worker initializer: pre-build shared state for each warm spec.
 
     Runs once in every pool process before it receives cells.  Each spec
@@ -149,18 +145,7 @@ def _worker_init(
     and :func:`_reference` here moves graph construction, SLT building,
     and the fault-free reference runs out of the first cell each worker
     executes (they are by far the dominant per-cell setup cost).
-
-    ``kernel_backend`` pins the graph-kernel backend the parent resolved
-    (see :func:`repro.graphs.npkernels.kernel_backend`) so every worker
-    computes graph parameters through the same kernels as a serial run —
-    one leg of the serial == pool byte-identity contract.  (The kernels
-    are value-identical anyway; pinning makes the guarantee structural
-    rather than incidental.)
     """
-    if kernel_backend is not None:
-        from ..graphs.npkernels import set_kernel_backend
-
-        set_kernel_backend(kernel_backend)
     if snapshots:
         # Attach every published graph snapshot once, up front: cells
         # then resolve their handles from the process-local cache
@@ -211,7 +196,7 @@ def _dispose_pool() -> None:
 
 
 def _get_pool(jobs: int, warm: tuple, snapshots: tuple = ()) -> ProcessPoolExecutor:
-    """The persistent pool for ``(jobs, warm, backend, snapshots)``.
+    """The persistent pool for ``(jobs, warm, snapshots)``.
 
     Snapshot handles join the pool key so a sweep over different (or
     re-published) graphs gets fresh workers that attach the right
@@ -219,17 +204,14 @@ def _get_pool(jobs: int, warm: tuple, snapshots: tuple = ()) -> ProcessPoolExecu
     primitives, so the key stays hashable and comparison is by value.
     """
     global _pool, _pool_key, _atexit_registered
-    from ..graphs.npkernels import kernel_backend
-
-    backend = kernel_backend()
-    key = (jobs, warm, backend, snapshots)
+    key = (jobs, warm, snapshots)
     if _pool is not None and _pool_key != key:
         _dispose_pool()
     if _pool is None:
         _pool = ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_worker_init,
-            initargs=(warm, backend, snapshots),
+            initargs=(warm, snapshots),
         )
         _pool_key = key
         if not _atexit_registered:
@@ -540,17 +522,16 @@ class SnapshotCell:
     ``kind`` selects the kernel: ``"stripe"`` computes O(deg) local
     adjacency stats for vertices ``lo..hi-1`` (pure snapshot-read cells —
     the acceptance sweep's shape), ``"sources"`` runs per-source SSSP
-    aggregates for sources ``lo..hi-1``.  ``kernel`` pins the backend for
-    ``"sources"`` cells (``"python"`` or ``"numpy"``); it is resolved at
-    *cell-creation* time so serial and pooled executions of the same cell
-    list are structurally guaranteed to run the same kernel.
+    aggregates for sources ``lo..hi-1``.  Which implementation a
+    ``"sources"`` cell runs is decided by the snapshot itself (see
+    :func:`repro.graphs.csr.source_scan`), so serial and pooled runs of
+    the same cell list run the same kernel.
     """
 
     handle: SnapshotHandle
     kind: str
     lo: int
     hi: int
-    kernel: str
 
 
 def snapshot_cells(
@@ -559,27 +540,21 @@ def snapshot_cells(
     kind: str = "sources",
     limit: int | None = None,
     cell_size: int = 1,
-    kernel: str | None = None,
 ) -> list[SnapshotCell]:
     """The cell list of a snapshot sweep, in vertex/source order.
 
     ``limit`` caps how many vertices (``"stripe"``) or sources
     (``"sources"``) the sweep covers — big-tier runs sample a prefix
     rather than all ``n``.  ``cell_size`` vertices/sources go into each
-    cell.  ``kernel=None`` resolves the ambient backend once, here, so
-    the cells carry it explicitly (see :class:`SnapshotCell`).
+    cell.
     """
     if kind not in ("stripe", "sources"):
         raise ValueError(f"kind must be 'stripe' or 'sources': {kind!r}")
     if cell_size < 1:
         raise ValueError(f"cell_size must be >= 1: {cell_size}")
-    if kernel is None:
-        from ..graphs.npkernels import kernel_backend
-
-        kernel = kernel_backend()
     count = handle.n if limit is None else min(limit, handle.n)
     return [
-        SnapshotCell(handle, kind, lo, min(lo + cell_size, count), kernel)
+        SnapshotCell(handle, kind, lo, min(lo + cell_size, count))
         for lo in range(0, count, cell_size)
     ]
 
@@ -590,20 +565,28 @@ def run_snapshot_cell(cell: SnapshotCell) -> dict:
     :func:`~repro.graphs.shm.attach` resolves the handle zero-copy from
     the worker's attachment cache (or the segment itself on a cold
     process; or a spec rebuild when shared memory is unavailable — the
-    graceful-degradation path).  Dispatches on the cell's pinned kind and
-    kernel; both kernels return the same row shape with a byte-identity
-    digest, so serial == pool comparisons are plain ``==`` on row lists.
+    graceful-degradation path).  Every row is O(1) whatever the graph
+    size; a ``"sources"`` row folds its range to the fewest vertices any
+    source reached, the largest eccentricity (``inf`` once a source
+    misses a vertex) and a digest of the distance rows, so serial == pool
+    comparisons are plain ``==`` on row lists.
     """
     from ..graphs import shm
-    from ..graphs.csr import flat_source_stats, flat_stripe_stats
-    from ..graphs.npkernels import np_flat_source_stats, numpy_available
+    from ..graphs.csr import flat_stripe_stats, source_scan
 
     flat = shm.attach(cell.handle)
     if cell.kind == "stripe":
         return flat_stripe_stats(flat, cell.lo, cell.hi)
-    if cell.kernel == "numpy" and numpy_available():
-        return np_flat_source_stats(flat, cell.lo, cell.hi)
-    return flat_source_stats(flat, cell.lo, cell.hi)
+    scan = source_scan(flat, cell.lo, cell.hi, digest=True)
+    return {
+        "kind": "sources",
+        "lo": cell.lo,
+        "hi": cell.hi,
+        "sources": cell.hi - cell.lo,
+        "reach_min": scan.reach_min,
+        "ecc_max": max(scan.ecc, default=0.0),
+        "digest": scan.digest,
+    }
 
 
 def snapshot_rows(
@@ -613,7 +596,6 @@ def snapshot_rows(
     kind: str = "sources",
     limit: int | None = None,
     cell_size: int = 1,
-    kernel: str | None = None,
     force: str | None = None,
     batch: int | None = None,
     chunksize: int | None = None,
@@ -628,7 +610,7 @@ def snapshot_rows(
     published flat, so serial and pool row lists are byte-identical.
     """
     cells = snapshot_cells(handle, kind=kind, limit=limit,
-                           cell_size=cell_size, kernel=kernel)
+                           cell_size=cell_size)
     return run_parallel(run_snapshot_cell, cells, jobs=jobs, force=force,
                         snapshots=(handle,), batch=batch,
                         chunksize=chunksize)

@@ -5,18 +5,14 @@ Public surface of :mod:`repro.graphs`; every symbol here is stable API.
 
 from .cache import GraphParamCache, param_cache
 from .csr import (
-    CSRGraph,
     FlatGraph,
-    GraphScan,
-    all_sources_scan,
+    SourceScan,
+    backend_info,
     csr_kruskal_mst,
-    csr_of,
     csr_prim_mst,
     edges_to_flat,
-    flat_of,
-    flat_source_stats,
-    flat_sssp_dist,
     flat_stripe_stats,
+    source_scan,
     sssp_maps,
 )
 from .generators import (
@@ -51,23 +47,6 @@ from .io import (
     loads_graph,
 )
 from .mst import kruskal_mst, minimum_spanning_tree, mst_weight, prim_mst, UnionFind
-from .npkernels import (
-    KERNEL_BACKEND_ENV,
-    NPFlat,
-    NPGraph,
-    backend_info,
-    kernel_backend,
-    np_all_sources_scan,
-    np_delay_propagation,
-    np_flat_of,
-    np_flat_source_stats,
-    np_graph_of,
-    np_kruskal_mst,
-    np_prim_mst,
-    np_sssp_dist,
-    numpy_available,
-    set_kernel_backend,
-)
 from .params import NetworkParams, network_params, script_D, script_E, script_V
 from .paths import (
     diameter,
@@ -135,33 +114,16 @@ __all__ = [
     # cache
     "GraphParamCache",
     "param_cache",
-    # csr kernels
-    "CSRGraph",
-    "GraphScan",
-    "csr_of",
+    # the snapshot and its kernels
+    "FlatGraph",
+    "SourceScan",
+    "source_scan",
     "sssp_maps",
-    "all_sources_scan",
     "csr_prim_mst",
     "csr_kruskal_mst",
-    # numpy kernel backend (optional; value-identical to the CSR kernels)
-    "KERNEL_BACKEND_ENV",
-    "kernel_backend",
-    "set_kernel_backend",
-    "numpy_available",
     "backend_info",
-    "NPGraph",
-    "np_graph_of",
-    "np_all_sources_scan",
-    "np_sssp_dist",
-    "np_delay_propagation",
-    "np_prim_mst",
-    "np_kruskal_mst",
-    # flat snapshots + zero-copy shared-memory transport
-    "FlatGraph",
+    # streamed snapshots + zero-copy shared-memory transport
     "edges_to_flat",
-    "flat_of",
-    "flat_sssp_dist",
-    "flat_source_stats",
     "flat_stripe_stats",
     "lower_bound_flat",
     "lower_bound_split_flat",
@@ -169,8 +131,4 @@ __all__ = [
     "SnapshotHandle",
     "SnapshotUnavailable",
     "shm_available",
-    # numpy flat kernels
-    "NPFlat",
-    "np_flat_of",
-    "np_flat_source_stats",
 ]

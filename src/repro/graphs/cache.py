@@ -8,47 +8,43 @@ that dominated sweep wall time.  :class:`GraphParamCache` memoizes them
 per :class:`~repro.graphs.weighted_graph.WeightedGraph` instance and
 invalidates automatically when the graph mutates.
 
-Since PR 3 the cache also owns the graph's flat-array snapshot
-(:class:`~repro.graphs.csr.CSRGraph`, built once per graph version) and
-computes every parameter through the CSR kernels instead of the
-dict-of-dicts algorithms: per-source shortest paths via
-:func:`~repro.graphs.csr.sssp_maps`, eccentricities/diameter/max
-neighbor distance via one batched :func:`~repro.graphs.csr.all_sources_scan`
-pass, and the MST via :func:`~repro.graphs.csr.csr_prim_mst`.  The
-kernels replay the dict path's iteration and tie-breaking order exactly,
-so every answer — including dict insertion order, MST edge order, and
-float rounding — is byte-identical to what the dict algorithms return
+The cache owns the graph's one snapshot
+(:class:`~repro.graphs.csr.FlatGraph`, built once per graph version) and
+computes every parameter through its kernels: per-source shortest paths
+via :func:`~repro.graphs.csr.sssp_maps`, eccentricities/diameter/max
+neighbor distance via one :func:`~repro.graphs.csr.source_scan` (which
+picks Floyd–Warshall or the Python loop from the graph itself), and the
+MST via :func:`~repro.graphs.csr.csr_prim_mst`.  Every answer — including
+dict insertion order, MST edge order, and float rounding — is
+byte-identical to what the dict algorithms return
 (``tests/test_csr_kernels.py`` pins this).
-
-Since PR 7 the whole-graph kernels (the batched scan and Prim) dispatch
-on :func:`~repro.graphs.npkernels.kernel_backend`: under the ``numpy``
-backend they run the vectorized kernels against a memoized
-:class:`~repro.graphs.npkernels.NPGraph` mirror of the CSR snapshot,
-which is value-identical by the same contract
-(``tests/test_npkernels_differential.py`` pins it) and wiped by the same
-version check.  Per-source :func:`~repro.graphs.csr.sssp_maps` stays on
-the Python kernel under every backend — its parent/discovery-order dict
-views are inherently sequential.
 
 Invalidation contract (see docs/PERF.md):
 
 * every mutating ``WeightedGraph`` operation (``add_vertex``,
   ``add_edge``, ``remove_edge``) bumps the graph's ``version`` counter;
 * every cache accessor compares the stored version against the graph's
-  before answering and wipes all memoized state — including the CSR
+  before answering and wipes all memoized state — including the
   snapshot — on mismatch; a stale answer is therefore impossible as long
   as mutations go through the ``WeightedGraph`` API (mutating ``_adj``
   directly is out of contract);
 * cached aggregate values (floats, :class:`NetworkParams`) are immutable
   and safe to share; cached *structures* (the MST tree, shortest-path
-  dicts, the CSR snapshot) are shared read-only views — callers must
-  copy before mutating.
+  dicts, the snapshot) are shared read-only views — callers must copy
+  before mutating.
+
+Counters: each call of a parameter accessor (``sssp``, ``eccentricities``,
+``eccentricity``, ``diameter``, ``max_neighbor_distance``, ``mst``,
+``mst_weight``, ``is_connected``, ``network_params``) counts exactly one
+``miss`` when it has to run a kernel and one ``hit`` when the answer is
+already memoized; accessors never count the lookups they make for each
+other.
 
 The cache attaches lazily to the graph instance (``param_cache(g)``), so
 its lifetime — and memory — is tied to the graph it describes.  Per-source
 shortest-path tables are cached only for the sources actually queried;
-the whole-graph scan keeps one O(n) result row (eccentricities plus two
-floats), never the O(n^2) distance matrix.
+the whole-graph scan keeps one O(n) result row, never the O(n^2)
+distance matrix.
 """
 
 from __future__ import annotations
@@ -56,19 +52,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .csr import (
-    CSRGraph,
+    FlatArrays,
     FlatGraph,
-    GraphScan,
-    all_sources_scan,
+    SourceScan,
     csr_prim_mst,
-    flat_of,
+    source_scan,
     sssp_maps,
-)
-from .npkernels import (
-    NPGraph,
-    kernel_backend,
-    np_all_sources_scan,
-    np_prim_mst,
 )
 from .weighted_graph import Vertex, WeightedGraph
 
@@ -83,19 +72,23 @@ class GraphParamCache:
     """Version-checked memo of one graph's weighted parameters."""
 
     __slots__ = (
-        "graph", "_version", "_csrg", "_npg", "_flat", "_sssp", "_scan",
-        "_ecc", "_mst", "_mst_weight", "_params", "_connected",
-        "hits", "misses", "invalidations", "csr_builds", "np_builds",
-        "flat_builds",
+        "graph", "_version", "_flat", "_sssp", "_scan", "_ecc", "_mst",
+        "_mst_weight", "_params", "_connected", "hits", "misses",
+        "invalidations", "flat_builds",
     )
+
+    # One snapshot per version, counted in ``flat_builds``: the CSR layout
+    # and the numpy view are that snapshot, not separate builds.  Both
+    # names stay readable (at zero) so a reader summing all three counts
+    # every build exactly once.
+    csr_builds = 0
+    np_builds = 0
 
     def __init__(self, graph: WeightedGraph) -> None:
         self.graph = graph
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.csr_builds = 0
-        self.np_builds = 0
         self.flat_builds = 0
         self._wipe()
         self._version = graph.version
@@ -105,12 +98,9 @@ class GraphParamCache:
     # ------------------------------------------------------------------ #
 
     def _wipe(self) -> None:
-        self._csrg: CSRGraph | None = None
-        self._npg: NPGraph | None = None
         self._flat: FlatGraph | None = None
         self._sssp: dict[Vertex, tuple[dict, dict]] = {}
-        # GraphScan: ecc row + diameter + max nbr dist.
-        self._scan: GraphScan | None = None
+        self._scan: SourceScan | None = None
         self._ecc: dict[Vertex, float] | None = None
         self._mst: WeightedGraph | None = None
         self._mst_weight: float | None = None
@@ -123,58 +113,67 @@ class GraphParamCache:
             self._version = self.graph.version
             self.invalidations += 1
 
+    def _count(self, memoized: bool) -> None:
+        """Count one accessor call as one hit or one miss (after ``_sync``)."""
+        if memoized:
+            self.hits += 1
+        else:
+            self.misses += 1
+
     # ------------------------------------------------------------------ #
-    # CSR snapshot
+    # The snapshot
     # ------------------------------------------------------------------ #
-
-    def csr(self) -> CSRGraph:
-        """The flat-array snapshot of the graph at its current version.
-
-        Built once per version and shared by every kernel below; treat it
-        as read-only (it is immutable by construction).
-        """
-        self._sync()
-        if self._csrg is None:
-            self._csrg = CSRGraph(self.graph)
-            self.csr_builds += 1
-        return self._csrg
-
-    def npg(self) -> NPGraph:
-        """The NumPy mirror of the CSR snapshot at the current version.
-
-        Built lazily (only when the numpy backend actually runs a
-        kernel) and wiped together with the CSR snapshot on mutation, so
-        the two views can never disagree about graph contents.  Raises
-        ``RuntimeError`` when numpy is unavailable — callers dispatch on
-        :func:`~repro.graphs.npkernels.kernel_backend` first.
-        """
-        self._sync()
-        if self._npg is None:
-            self._npg = NPGraph(self.csr())
-            self.np_builds += 1
-        return self._npg
 
     def flat(self) -> FlatGraph:
-        """The transportable flat-buffer snapshot at the current version.
+        """The graph's snapshot at its current version.
 
-        One conversion per graph version (``flat_builds`` mirrors
-        ``csr_builds``); the result is what :func:`publish` ships into a
-        shared-memory segment.  Wiped by the same version check as the
-        CSR snapshot, so a published handle for a mutated graph can never
-        alias stale bytes — re-publishing bumps ``version`` and unlinks
-        the old segment.
+        Built once per version and shared by every kernel below; treat it
+        as read-only (it is immutable by construction).  It is also what
+        :meth:`publish` ships into a shared-memory segment: a published
+        handle for a mutated graph can never alias stale bytes, because
+        re-publishing bumps ``version`` and unlinks the old segment.
         """
         self._sync()
         if self._flat is None:
-            self._flat = flat_of(self.csr())
+            self._flat = FlatGraph.from_graph(self.graph)
             self.flat_builds += 1
         return self._flat
 
+    csr = flat  # the snapshot *is* the CSR layout
+
+    def npg(self) -> FlatArrays:
+        """Numpy views of the snapshot's buffers (memoized on the snapshot)."""
+        return self.flat().arrays()
+
     def publish(self, key: str | None = None) -> SnapshotHandle:
-        """Publish the flat snapshot for zero-copy pool attachment."""
+        """Publish the snapshot for zero-copy pool attachment."""
         from . import shm  # deferred: keep shared-memory optional at import
 
         return shm.publish(self.flat(), key=key)
+
+    # ------------------------------------------------------------------ #
+    # Kernel results (uncounted; shared by the accessors)
+    # ------------------------------------------------------------------ #
+
+    def _full_scan(self) -> SourceScan:
+        if self._scan is None:
+            self._scan = source_scan(self.flat())
+        return self._scan
+
+    def _tree(self) -> WeightedGraph:
+        if self._mst is None:
+            self._mst = csr_prim_mst(self.flat())
+        return self._mst
+
+    def _tree_weight(self) -> float:
+        if self._mst_weight is None:
+            self._mst_weight = self._tree().total_weight()
+        return self._mst_weight
+
+    def _is_connected(self) -> bool:
+        if self._connected is None:
+            self._connected = self.graph.is_connected()
+        return self._connected
 
     # ------------------------------------------------------------------ #
     # Shortest-path structure
@@ -187,32 +186,21 @@ class GraphParamCache:
         (use :func:`repro.graphs.paths.dijkstra` for a private copy).
         """
         self._sync()
-        hit = self._sssp.get(source)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        result = sssp_maps(self.csr(), source)
-        self._sssp[source] = result
+        self._count(source in self._sssp)
+        result = self._sssp.get(source)
+        if result is None:
+            result = sssp_maps(self.flat(), source)
+            self._sssp[source] = result
         return result
-
-    def _full_scan(self) -> GraphScan:
-        if self._scan is None:
-            self.misses += 1
-            if kernel_backend() == "numpy":
-                self._scan = np_all_sources_scan(self.npg())
-            else:
-                self._scan = all_sources_scan(self.csr())
-        return self._scan
 
     def eccentricities(self) -> dict[Vertex, float]:
         """``Rad(v, G)`` for every vertex (inf where G is disconnected)."""
         self._sync()
-        if self._ecc is not None:
-            self.hits += 1
-            return self._ecc
-        scan = self._full_scan()
-        self._ecc = dict(zip(self.csr().verts, scan.ecc, strict=True))
+        self._count(self._scan is not None)
+        if self._ecc is None:
+            verts = self.flat().verts
+            assert verts is not None
+            self._ecc = dict(zip(verts, self._full_scan().ecc, strict=True))
         return self._ecc
 
     def eccentricity(self, v: Vertex) -> float:
@@ -221,15 +209,13 @@ class GraphParamCache:
     def diameter(self) -> float:
         """script-D — the weighted diameter ``Diam(G)``."""
         self._sync()
-        if self._scan is not None:
-            self.hits += 1
+        self._count(self._scan is not None)
         return self._full_scan().diameter
 
     def max_neighbor_distance(self) -> float:
         """``d = max_{(u,v) in E} dist(u, v)`` (clock-sync lower bound)."""
         self._sync()
-        if self._scan is not None:
-            self.hits += 1
+        self._count(self._scan is not None)
         return self._full_scan().max_neighbor_distance
 
     # ------------------------------------------------------------------ #
@@ -239,24 +225,14 @@ class GraphParamCache:
     def mst(self) -> WeightedGraph:
         """The memoized MST (read-only; copy before mutating)."""
         self._sync()
-        if self._mst is not None:
-            self.hits += 1
-            return self._mst
-        self.misses += 1
-        if kernel_backend() == "numpy":
-            self._mst = np_prim_mst(self.npg())
-        else:
-            self._mst = csr_prim_mst(self.csr())
-        return self._mst
+        self._count(self._mst is not None)
+        return self._tree()
 
     def mst_weight(self) -> float:
         """script-V — ``w(MST(G))``."""
         self._sync()
-        if self._mst_weight is None:
-            self._mst_weight = self.mst().total_weight()
-        else:
-            self.hits += 1
-        return self._mst_weight
+        self._count(self._mst is not None)
+        return self._tree_weight()
 
     # ------------------------------------------------------------------ #
     # Aggregates
@@ -264,36 +240,34 @@ class GraphParamCache:
 
     def is_connected(self) -> bool:
         self._sync()
-        if self._connected is None:
-            self._connected = self.graph.is_connected()
-        else:
-            self.hits += 1
-        return self._connected
+        self._count(self._connected is not None)
+        return self._is_connected()
 
     def network_params(self) -> NetworkParams:
         """The full :class:`~repro.graphs.params.NetworkParams` record."""
         self._sync()
+        self._count(self._params is not None)
         if self._params is not None:
-            self.hits += 1
             return self._params
         from .params import NetworkParams  # deferred: params imports us
 
-        if not self.is_connected():
+        if not self._is_connected():
             raise ValueError("network parameters require a connected graph")
         g = self.graph
+        scan = self._full_scan()
         self._params = NetworkParams(
             n=g.num_vertices,
             m=g.num_edges,
             E=g.total_weight(),
-            V=self.mst_weight(),
-            D=self.diameter(),
+            V=self._tree_weight(),
+            D=scan.diameter,
             W=g.max_weight(),
-            d=self.max_neighbor_distance(),
+            d=scan.max_neighbor_distance,
         )
         return self._params
 
     def stats(self) -> dict:
-        """Counters for tests and the bench harness.
+        """Counters for tests and the bench harness (read-only).
 
         Includes the process-wide shared-memory snapshot counters
         (``shm_creates`` / ``shm_attaches`` / ``shm_bytes`` ...) so sweep
@@ -305,8 +279,6 @@ class GraphParamCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "csr_builds": self.csr_builds,
-            "np_builds": self.np_builds,
             "flat_builds": self.flat_builds,
             "sssp_sources": len(self._sssp),
         }

@@ -264,9 +264,9 @@ def caterpillar_graph(spine: int, legs: int, spine_weight: float = 1.0,
 # tens of gigabytes before a single kernel runs.  The builders below emit
 # the same graphs straight into FlatGraph's three flat buffers — ~48
 # bytes per edge, one pass — and are *byte-identical* to converting the
-# dict build (`flat_of(csr_of(gen(...)))`): same dense indexing (vertex
+# dict build (`FlatGraph.from_graph(gen(...))`): same dense indexing (vertex
 # insertion order), same adjacency order (edge insertion order, which
-# edges_to_flat's counting placement replays), same weight floats.
+# edges_to_flat's stable placement replays), same weight floats.
 # tests/test_flat_stream.py pins the equivalence at dict-friendly sizes.
 
 
@@ -282,12 +282,10 @@ def _lower_bound_x(n: int, heavy: float | None) -> float:
 def lower_bound_flat(
     n: int,
     heavy: float | None = None,
-    *,
-    use_numpy: bool | None = None,
 ) -> FlatGraph:
     """``G_n`` (Section 7.1 / Figure 7) streamed straight into flat buffers.
 
-    Byte-identical to ``flat_of(csr_of(lower_bound_graph(n, heavy)))``:
+    Byte-identical to ``FlatGraph.from_graph(lower_bound_graph(n, heavy))``:
     vertices 1..n intern to dense indices 0..n-1, path edges come first
     in index order, bypass edges follow in increasing ``i``.  The dict
     builder's ``has_edge`` guard is replayed arithmetically: bypass pairs
@@ -311,7 +309,6 @@ def lower_bound_flat(
         integral=x == int(x),
         wmax=x4 if len(ws) > n - 1 else x,
         spec=("lower_bound", n, heavy),
-        use_numpy=use_numpy,
     )
 
 
@@ -319,8 +316,6 @@ def lower_bound_split_flat(
     n: int,
     i: int,
     heavy: float | None = None,
-    *,
-    use_numpy: bool | None = None,
 ) -> FlatGraph:
     """``G_n^i`` (Lemma 7.1 / Figure 8) streamed into flat buffers.
 
@@ -355,7 +350,6 @@ def lower_bound_split_flat(
         integral=x == int(x),
         wmax=x4,
         spec=("lower_bound_split", n, i, heavy),
-        use_numpy=use_numpy,
     )
 
 
@@ -366,7 +360,6 @@ def random_connected_flat(
     seed: int = 0,
     max_weight: float = 10.0,
     rng: random.Random | None = None,
-    use_numpy: bool | None = None,
 ) -> FlatGraph:
     """:func:`random_connected_graph` streamed into flat buffers.
 
@@ -423,5 +416,4 @@ def random_connected_flat(
         integral=True,
         wmax=float(wmax),
         spec=spec,
-        use_numpy=use_numpy,
     )

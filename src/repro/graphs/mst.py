@@ -1,4 +1,4 @@
-"""Minimum spanning trees (array-kernel fast path + dict reference).
+"""Minimum spanning trees (snapshot kernels + dict reference).
 
 Used as (a) the preprocessing step of the SLT algorithm (Section 2.2),
 (b) the definition of the paper's script-V parameter ``V = w(MST(G))``
@@ -6,12 +6,9 @@ Used as (a) the preprocessing step of the SLT algorithm (Section 2.2),
 protocols of Section 8.
 
 The public entry points (:func:`prim_mst`, :func:`kruskal_mst`,
-:func:`minimum_spanning_tree`) route through the flat-array kernels in
-:mod:`repro.graphs.csr` (CSR snapshot memoized per graph version via
-:mod:`repro.graphs.cache`), or — when
-:func:`repro.graphs.npkernels.kernel_backend` resolves to ``numpy`` —
-through the vectorized kernels in :mod:`repro.graphs.npkernels`; the
-output is byte-identical either way, including under the original
+:func:`minimum_spanning_tree`) route through the kernels in
+:mod:`repro.graphs.csr` (snapshot memoized per graph version via
+:mod:`repro.graphs.cache`); the output is byte-identical to the original
 dict-of-dicts algorithms kept here as :func:`prim_mst_dicts` /
 :func:`kruskal_mst_dicts` — the independent reference implementations
 the golden and differential tests compare every kernel against.
@@ -71,39 +68,31 @@ class UnionFind:
 def prim_mst(graph: WeightedGraph, root: Vertex | None = None) -> WeightedGraph:
     """Prim's algorithm; returns the MST as a fresh :class:`WeightedGraph`.
 
-    Runs on the memoized CSR snapshot (:mod:`repro.graphs.csr`);
+    Runs on the memoized snapshot (:mod:`repro.graphs.csr`);
     deterministic given insertion order (ties broken by discovery order)
     and byte-identical to :func:`prim_mst_dicts`.  Raises ``ValueError``
     on a disconnected graph.
     """
     from .cache import param_cache
     from .csr import csr_prim_mst
-    from .npkernels import kernel_backend, np_prim_mst
 
     if graph.num_vertices == 0:
         return WeightedGraph()
-    cache = param_cache(graph)
-    csr = cache.csr()
-    r = csr.index[root] if root is not None else 0
-    if kernel_backend() == "numpy":
-        return np_prim_mst(cache.npg(), r)
-    return csr_prim_mst(csr, r)
+    flat = param_cache(graph).flat()
+    assert flat.index is not None
+    return csr_prim_mst(flat, flat.index[root] if root is not None else 0)
 
 
 def kruskal_mst(graph: WeightedGraph) -> WeightedGraph:
     """Kruskal's algorithm; returns the MST (raises on disconnected input).
 
-    Runs on the frozen edge arrays of the CSR snapshot with an
-    int-indexed union-find; byte-identical to :func:`kruskal_mst_dicts`.
+    Runs on the edges of the memoized snapshot with an int-indexed
+    union-find; byte-identical to :func:`kruskal_mst_dicts`.
     """
     from .cache import param_cache
     from .csr import csr_kruskal_mst
-    from .npkernels import kernel_backend, np_kruskal_mst
 
-    cache = param_cache(graph)
-    if kernel_backend() == "numpy":
-        return np_kruskal_mst(cache.npg())
-    return csr_kruskal_mst(cache.csr())
+    return csr_kruskal_mst(param_cache(graph).flat())
 
 
 def prim_mst_dicts(

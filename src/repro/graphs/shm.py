@@ -378,10 +378,15 @@ def shutdown() -> None:
 
 
 def stats() -> dict[str, Any]:
-    """Snapshot transport counters (parent or worker side, per process)."""
+    """Snapshot transport counters (parent or worker side, per process).
+
+    Read-only: ``shm_available`` is the probe's result when it has run
+    and ``None`` otherwise, because the probe creates a segment, which
+    starts a resource-tracker process.
+    """
     out: dict[str, Any] = dict(_counters)
     out["shm_segments"] = sum(1 for _h, seg, _f in _published.values() if seg is not None)
-    out["shm_available"] = shm_available()
+    out["shm_available"] = _available
     return out
 
 

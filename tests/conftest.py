@@ -1,29 +1,23 @@
-"""Shared fixtures: kernel-backend matrix for the graph substrate tests.
+"""Shared fixtures: run graph-substrate tests through both scan paths.
 
-``each_backend`` parametrizes a test over ``REPRO_KERNEL_BACKEND`` so
-every golden value is asserted under both the pure-Python CSR kernels
-and the NumPy backend (skipped automatically when numpy is absent —
-the no-numpy CI leg then runs the same tests on the python leg only).
-Modules opt in with ``pytestmark = pytest.mark.usefixtures("each_backend")``.
+:func:`repro.graphs.csr.source_scan` picks Floyd–Warshall or the Python
+Dial/heap loop from the graph (``_fw_applicable``).  Every small
+integral test graph takes the Floyd–Warshall path under that rule, so
+``each_scan_path`` runs a test twice: once under the rule (``numpy``)
+and once with the Python loop forced (``python``), asserting every
+golden value on both paths.  The ids keep the ``backend=`` prefix so
+test ids stay stable.  Modules opt in with
+``pytestmark = pytest.mark.usefixtures("each_scan_path")``.
 """
 
 import pytest
 
-from repro.graphs.npkernels import numpy_available
-
-KERNEL_BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not installed"
-        ),
-    ),
-]
+from repro.graphs import csr
 
 
-@pytest.fixture(params=KERNEL_BACKENDS, ids=lambda b: f"backend={b}")
-def each_backend(request, monkeypatch):
-    """Run the requesting test once per kernel backend."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+@pytest.fixture(params=["python", "numpy"], ids=lambda p: f"backend={p}")
+def each_scan_path(request, monkeypatch):
+    """Run the requesting test once per scan path."""
+    if request.param == "python":
+        monkeypatch.setattr(csr, "_fw_applicable", lambda _flat: False)
     return request.param

@@ -1,4 +1,4 @@
-"""Golden equality tests: CSR kernels vs the dict-of-dicts reference path.
+"""Golden equality tests: snapshot kernels vs the dict-of-dicts reference path.
 
 Every kernel in :mod:`repro.graphs.csr` claims *byte-identical* results to
 the dict algorithms it replaces — same values, same tie-breaking, same
@@ -7,17 +7,16 @@ a spread of shapes: random integer-weight graphs (the Dial bucket-queue
 scan path), unit-weight tie-heavy topologies, fractional weights (the
 binary-heap scan fallback), trees, and multi-component graphs.
 
-The whole module runs once per kernel backend (``each_backend``): the
-public entry points (``prim_mst``, ``kruskal_mst``, the cache) must pin
-the same golden values whether they dispatch to the pure-Python CSR
-kernels or the NumPy backend.
+The whole module runs once per scan path (``each_scan_path``): the scan
+and the public entry points (``prim_mst``, ``kruskal_mst``, the cache)
+must pin the same golden values under Floyd–Warshall and the Python loop.
 """
 
 import math
 
 import pytest
 
-pytestmark = pytest.mark.usefixtures("each_backend")
+pytestmark = pytest.mark.usefixtures("each_scan_path")
 
 from repro.graphs import (
     WeightedGraph,
@@ -32,11 +31,10 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.csr import (
-    CSRGraph,
-    all_sources_scan,
+    FlatGraph,
     csr_kruskal_mst,
-    csr_of,
     csr_prim_mst,
+    source_scan,
     sssp_maps,
 )
 from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
@@ -45,7 +43,7 @@ INF = float("inf")
 
 
 def fractional_graph():
-    """Non-integral weights: forces the heap path (``iadj is None``)."""
+    """Non-integral weights: forces the heap path (``integral`` unset)."""
     g = WeightedGraph()
     g.add_edge(0, 1, 0.25)
     g.add_edge(1, 2, 0.5)
@@ -76,10 +74,10 @@ GOLDEN = [
 
 @pytest.mark.parametrize("graph", GOLDEN)
 def test_sssp_maps_byte_identical_to_dict_dijkstra(graph):
-    csr = CSRGraph(graph)
+    flat = FlatGraph.from_graph(graph)
     for source in graph.vertices:
         d_dist, d_parent = dijkstra(graph, source)
-        c_dist, c_parent = sssp_maps(csr, source)
+        c_dist, c_parent = sssp_maps(flat, source)
         assert c_dist == d_dist
         assert c_parent == d_parent
         # Same dict *insertion order*, not just the same mappings.
@@ -88,17 +86,17 @@ def test_sssp_maps_byte_identical_to_dict_dijkstra(graph):
 
 
 def test_sssp_maps_unknown_source_raises_keyerror():
-    csr = CSRGraph(grid_graph(3, 3))
+    flat = FlatGraph.from_graph(grid_graph(3, 3))
     with pytest.raises(KeyError):
-        sssp_maps(csr, "nope")
+        sssp_maps(flat, "nope")
 
 
 @pytest.mark.parametrize("graph", GOLDEN)
 def test_scan_matches_per_source_dict_formulas(graph):
     n = graph.num_vertices
-    csr = CSRGraph(graph)
-    scan = all_sources_scan(csr)
-    ecc = dict(zip(csr.verts, scan.ecc))
+    flat = FlatGraph.from_graph(graph)
+    scan = source_scan(flat)
+    ecc = dict(zip(flat.verts, scan.ecc))
     exp_nbr = 0.0
     exp_diam = 0.0
     for s in graph.vertices:
@@ -117,7 +115,7 @@ def test_scan_matches_per_source_dict_formulas(graph):
 
 def test_scan_disconnected_graph_has_infinite_eccentricities():
     g = two_components()
-    scan = all_sources_scan(CSRGraph(g))
+    scan = source_scan(FlatGraph.from_graph(g))
     assert all(e == INF for e in scan.ecc)
     assert scan.diameter == INF
     # Neighbor distances stay finite: neighbors are always reachable.
@@ -125,8 +123,8 @@ def test_scan_disconnected_graph_has_infinite_eccentricities():
 
 
 def test_fractional_graph_skips_dial_path():
-    assert CSRGraph(fractional_graph()).iadj is None
-    assert CSRGraph(grid_graph(3, 3)).iadj is not None
+    assert not FlatGraph.from_graph(fractional_graph()).integral
+    assert FlatGraph.from_graph(grid_graph(3, 3)).integral
 
 
 def test_zero_weight_edges_cannot_exist():
@@ -141,11 +139,11 @@ def test_zero_weight_edges_cannot_exist():
 
 @pytest.mark.parametrize("graph", GOLDEN)
 def test_prim_byte_identical_to_dict_prim(graph):
-    csr = CSRGraph(graph)
+    flat = FlatGraph.from_graph(graph)
     for root_idx in (0, graph.num_vertices // 2):
         root = graph.vertices[root_idx]
         d_tree = prim_mst_dicts(graph, root)
-        c_tree = csr_prim_mst(csr, csr.index[root])
+        c_tree = csr_prim_mst(flat, flat.index[root])
         assert list(c_tree.vertices) == list(d_tree.vertices)
         assert list(c_tree.edges()) == list(d_tree.edges())
         # Same insertion order => bit-equal float accumulation.
@@ -155,7 +153,7 @@ def test_prim_byte_identical_to_dict_prim(graph):
 @pytest.mark.parametrize("graph", GOLDEN)
 def test_kruskal_byte_identical_to_dict_kruskal(graph):
     d_tree = kruskal_mst_dicts(graph)
-    c_tree = csr_kruskal_mst(CSRGraph(graph))
+    c_tree = csr_kruskal_mst(FlatGraph.from_graph(graph))
     assert list(c_tree.vertices) == list(d_tree.vertices)
     assert list(c_tree.edges()) == list(d_tree.edges())
     assert repr(c_tree.total_weight()) == repr(d_tree.total_weight())
@@ -164,9 +162,9 @@ def test_kruskal_byte_identical_to_dict_kruskal(graph):
 def test_mst_on_disconnected_graph_raises():
     g = two_components()
     with pytest.raises(ValueError):
-        csr_prim_mst(CSRGraph(g))
+        csr_prim_mst(FlatGraph.from_graph(g))
     with pytest.raises(ValueError):
-        csr_kruskal_mst(CSRGraph(g))
+        csr_kruskal_mst(FlatGraph.from_graph(g))
 
 
 def test_public_mst_entry_points_route_through_csr():
@@ -180,20 +178,21 @@ def test_public_mst_entry_points_route_through_csr():
 def test_csr_of_memoizes_per_version_and_rebuilds_on_mutation():
     g = random_connected_graph(10, 8, seed=2)
     cache = param_cache(g)
-    first = csr_of(g)
-    assert csr_of(g) is first  # same version -> same snapshot object
-    assert cache.stats()["csr_builds"] == 1
+    first = cache.csr()
+    assert cache.csr() is first  # same version -> same snapshot object
+    assert cache.flat() is first  # one snapshot, whichever name asks
+    assert cache.stats()["flat_builds"] == 1
     assert first.version == g.version
 
-    before = dict(zip(first.verts, all_sources_scan(first).ecc))
+    before = dict(zip(first.verts, source_scan(first).ecc))
     g.add_edge(g.vertices[0], g.vertices[5], 1)  # mutation bumps version
-    second = csr_of(g)
+    second = cache.csr()
     assert second is not first
     assert second.version == g.version
-    assert cache.stats()["csr_builds"] == 2
+    assert cache.stats()["flat_builds"] == 2
     # The old snapshot still describes the old graph; the new one sees
     # the shortcut edge.
-    after = dict(zip(second.verts, all_sources_scan(second).ecc))
+    after = dict(zip(second.verts, source_scan(second).ecc))
     assert after != before or g.num_edges == 0
     assert second.m == first.m + 1
 

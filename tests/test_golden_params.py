@@ -6,14 +6,14 @@ graphs to exact constants, and asserts the memoized
 (cache-free) recomputation — including after the graph mutates and the
 cache must invalidate.
 
-The whole module runs once per kernel backend (``each_backend``): every
-golden constant must hold bit-for-bit under both the pure-Python CSR
-kernels and the NumPy backend.
+The whole module runs once per scan path (``each_scan_path``): every
+golden constant must hold bit-for-bit under both the Python loop and
+Floyd–Warshall.
 """
 
 import pytest
 
-pytestmark = pytest.mark.usefixtures("each_backend")
+pytestmark = pytest.mark.usefixtures("each_scan_path")
 
 from repro.core.slt import shallow_light_tree
 from repro.graphs import (
@@ -155,3 +155,35 @@ def test_copy_does_not_share_cache():
     h.add_edge(h.vertices[0], h.vertices[-1], 0.001)
     assert script_D(g) == d
     assert script_D(h) == raw_diameter(h)
+
+
+def test_each_accessor_call_counts_one_hit_or_miss():
+    # A miss runs a kernel; a hit answers from the memo.  Accessors never
+    # count the lookups they make for each other.
+    g = random_connected_graph(12, 14, seed=3)
+    cache = param_cache(g)
+    v = g.vertices[4]
+    calls = [
+        (cache.diameter, "miss"),        # runs the scan
+        (cache.eccentricities, "hit"),   # reads the scan's row
+        (lambda: cache.eccentricity(v), "hit"),
+        (cache.max_neighbor_distance, "hit"),
+        (cache.is_connected, "miss"),
+        (cache.is_connected, "hit"),
+        (cache.network_params, "miss"),  # runs Prim; scan/connectivity cached
+        (cache.network_params, "hit"),
+        (cache.mst, "hit"),
+        (cache.mst_weight, "hit"),
+        (lambda: cache.sssp(v), "miss"),
+        (lambda: cache.sssp(v), "hit"),
+    ]
+    for fn, want in calls:
+        before = (cache.hits, cache.misses)
+        fn()
+        after = (cache.hits, cache.misses)
+        step = (after[0] - before[0], after[1] - before[1])
+        assert step == ((1, 0) if want == "hit" else (0, 1)), (fn, want)
+    g.add_edge(g.vertices[0], g.vertices[11], 1)  # invalidates everything
+    cache.mst_weight()
+    assert (cache.hits, cache.misses) == (8, 5)
+    assert cache.stats()["invalidations"] == 1

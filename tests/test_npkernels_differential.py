@@ -1,18 +1,22 @@
-"""Differential harness: NumPy kernels vs the pure-Python oracles.
+"""Differential harness: the scan paths and snapshot kernels vs the dict oracles.
 
-Every vectorized kernel in :mod:`repro.graphs.npkernels` claims
-*value-identity* with its pure-Python oracle — same floats bit-for-bit,
-same MST edge lists under the pinned tie-break rules, same exceptions.
-This module is the proof: seeded graph families (paths, stars, grids,
-random integral / fractional / mixed-weight graphs, the paper's
-``G_n``/``G_n^i`` lower-bound families, disconnected and edge-case
-graphs) are pushed through both backends and compared exactly — no
-approx, no tolerance.
+:func:`repro.graphs.csr.source_scan` has two implementations — an int32
+Floyd–Warshall and the Python Dial/heap loop — and the graph picks one
+(``_fw_applicable``).  Both claim *value-identity* with the dict oracles
+in :mod:`repro.graphs.paths` / :mod:`repro.graphs.mst`: same floats
+bit-for-bit, same distance-row digests.  The snapshot's Prim, Kruskal and
+``sssp_maps`` claim the same for MST edge lists (under the pinned
+tie-break rules) and dict views.  This module is the proof: seeded graph
+families (paths, stars, grids, random integral / fractional /
+mixed-weight graphs, the paper's ``G_n``/``G_n^i`` lower-bound families,
+disconnected and edge-case graphs) are pushed through both private scan
+paths directly and compared exactly — no approx, no tolerance.
 
-Also pinned here: the backend selector semantics (env var, override,
-graceful no-numpy fallback), numpy-side cache invalidation, the Dial
-bucket-queue cap fallback, and serial == pool chaos-row byte-identity
-under both backends.
+Also pinned here: the regime rule on the ``graph_params`` workload
+shapes, the Dial bucket-queue cap fallback, the Floyd–Warshall dispatch
+boundaries, numpy-view memoization across mutations, flood arrival times
+under asymmetric delays, and serial == pool chaos-row byte-identity on
+both scan paths.
 """
 
 import heapq
@@ -22,10 +26,13 @@ import random
 import pytest
 
 from repro.graphs import (
+    FlatGraph,
     WeightedGraph,
+    backend_info,
     binary_tree,
     caterpillar_graph,
     complete_graph,
+    dijkstra,
     grid_graph,
     heavy_edge_clock_graph,
     hypercube_graph,
@@ -40,19 +47,16 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs import csr as csr_module
-from repro.graphs import npkernels as npk
 from repro.graphs.csr import (
-    CSRGraph,
-    all_sources_scan,
+    _fw_applicable,
+    _fw_scan,
+    _python_scan,
     csr_kruskal_mst,
     csr_prim_mst,
+    source_scan,
     sssp_maps,
 )
 from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
-
-requires_numpy = pytest.mark.skipif(
-    not npk.numpy_available(), reason="numpy not installed"
-)
 
 
 # --------------------------------------------------------------------- #
@@ -65,7 +69,7 @@ def _fractional_graph(seed: int) -> WeightedGraph:
 
     Dyadic rationals are exact in binary floating point, so equal-length
     paths produce *real* float ties — the hardest case for tie-break
-    identity between the heap and the batched relaxation.
+    identity.
     """
     rng = random.Random(seed)
     g = random_connected_graph(14, 16, seed=seed)
@@ -134,8 +138,28 @@ def family_graph(request):
     return request.param()
 
 
-def _np_graph(graph: WeightedGraph) -> npk.NPGraph:
-    return npk.NPGraph(CSRGraph(graph))
+def _oracle_scan(graph: WeightedGraph) -> tuple[list[float], float, float]:
+    """``(ecc row, diameter, d)`` from per-source dict Dijkstra runs."""
+    n = graph.num_vertices
+    ecc: list[float] = []
+    d = 0.0
+    for s in graph.vertices:
+        dist, _ = dijkstra(graph, s)
+        ecc.append(max(dist.values()) if len(dist) == n else math.inf)
+        for v in graph.neighbors(s):
+            d = max(d, dist[v])
+    return ecc, max(ecc, default=0.0), d
+
+
+def _assert_both_paths_match_oracle(graph: WeightedGraph) -> FlatGraph:
+    """Run both private scan paths directly; each must equal the oracle."""
+    flat = FlatGraph.from_graph(graph)
+    ecc, diam, d = _oracle_scan(graph)
+    py = _python_scan(flat, 0, flat.n, digest=True)
+    assert (py.ecc, py.diameter, py.max_neighbor_distance) == (ecc, diam, d)
+    if _fw_applicable(flat):
+        assert _fw_scan(flat, digest=True) == py  # incl. the rows digest
+    return flat
 
 
 # --------------------------------------------------------------------- #
@@ -143,131 +167,129 @@ def _np_graph(graph: WeightedGraph) -> npk.NPGraph:
 # --------------------------------------------------------------------- #
 
 
-@requires_numpy
 def test_scan_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    oracle = all_sources_scan(csr)
-    got = np_scan = npk.np_all_sources_scan(npk.NPGraph(csr))
-    assert got == oracle
+    flat = _assert_both_paths_match_oracle(family_graph)
+    scan = source_scan(flat)
     # exact types too: plain floats, not numpy scalars
-    assert all(type(e) is float for e in np_scan.ecc)
-    assert type(np_scan.diameter) is float
-    assert type(np_scan.max_neighbor_distance) is float
+    assert all(type(e) is float for e in scan.ecc)
+    assert type(scan.diameter) is float
+    assert type(scan.max_neighbor_distance) is float
 
 
-@requires_numpy
 def test_prim_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
+    flat = FlatGraph.from_graph(family_graph)
     if family_graph.num_vertices and not family_graph.is_connected():
         with pytest.raises(ValueError):
-            csr_prim_mst(csr)
+            csr_prim_mst(flat)
         with pytest.raises(ValueError):
-            npk.np_prim_mst(npg)
+            prim_mst_dicts(family_graph)
         return
     if family_graph.num_vertices == 0:
-        assert npk.np_prim_mst(npg).num_vertices == 0
+        assert csr_prim_mst(flat).num_vertices == 0
         return
-    oracle = csr_prim_mst(csr)
     dicts = prim_mst_dicts(family_graph)
-    got = npk.np_prim_mst(npg)
-    assert list(got.edges()) == list(oracle.edges()) == list(dicts.edges())
-    assert got.vertices == oracle.vertices
-    assert repr(got.total_weight()) == repr(oracle.total_weight())
+    got = csr_prim_mst(flat)
+    assert list(got.edges()) == list(dicts.edges())
+    assert got.vertices == dicts.vertices
+    assert repr(got.total_weight()) == repr(dicts.total_weight())
 
 
-@requires_numpy
 def test_kruskal_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
+    flat = FlatGraph.from_graph(family_graph)
     if family_graph.num_vertices and not family_graph.is_connected():
         with pytest.raises(ValueError):
-            csr_kruskal_mst(csr)
+            csr_kruskal_mst(flat)
         with pytest.raises(ValueError):
-            npk.np_kruskal_mst(npg)
+            kruskal_mst_dicts(family_graph)
         return
-    oracle = csr_kruskal_mst(csr)
-    got = npk.np_kruskal_mst(npg)
-    assert list(got.edges()) == list(oracle.edges())
-    assert got.vertices == oracle.vertices
-    assert repr(got.total_weight()) == repr(oracle.total_weight())
+    got = csr_kruskal_mst(flat)
+    assert got.vertices == family_graph.vertices
     if family_graph.num_vertices:
-        assert list(got.edges()) == list(kruskal_mst_dicts(family_graph).edges())
+        oracle = kruskal_mst_dicts(family_graph)
+        assert list(got.edges()) == list(oracle.edges())
+        assert repr(got.total_weight()) == repr(oracle.total_weight())
 
 
-@requires_numpy
 def test_sssp_dist_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
-    for s in range(min(csr.n, 6)):
-        dist_map, _parent = sssp_maps(csr, csr.verts[s])
-        got = npk.np_sssp_dist(npg, s)
-        want = [dist_map.get(v, math.inf) for v in csr.verts]
-        assert got == want
-        # default delay propagation is exactly SSSP
-        assert npk.np_delay_propagation(npg, s) == want
+    flat = FlatGraph.from_graph(family_graph)
+    for v in family_graph.vertices[:6]:
+        dist, parent = sssp_maps(flat, v)
+        want_dist, want_parent = dijkstra(family_graph, v)
+        assert list(dist.items()) == list(want_dist.items())
+        assert list(parent.items()) == list(want_parent.items())
 
 
 # --------------------------------------------------------------------- #
-# Delay propagation against an independent directed oracle
+# Delay propagation: flood arrivals under asymmetric per-edge delays
 # --------------------------------------------------------------------- #
 
 
-def _directed_dijkstra(csr, delays, source):
-    dist = [math.inf] * csr.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
+def _directed_dijkstra(graph, delays, source):
+    dist = {source: 0.0}
+    heap = [(0.0, 0, source)]
+    tie = 1
     while heap:
-        d, u = heapq.heappop(heap)
+        d, _, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for j in range(csr.indptr[u], csr.indptr[u + 1]):
-            v = csr.indices[j]
-            nd = d + delays[j]
-            if nd < dist[v]:
+        for v in graph.neighbors(u):
+            nd = d + delays[(u, v)]
+            if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heapq.heappush(heap, (nd, tie, v))
+                tie += 1
     return dist
 
 
-@requires_numpy
+def _flood_arrivals(graph, delays, source):
+    from repro.protocols.broadcast import FloodProcess
+    from repro.sim.delays import PerEdgeDelay
+    from repro.sim.network import Network
+
+    class Arrival(FloodProcess):
+        arrival = None
+
+        def on_start(self):
+            if self.is_initiator:
+                self.arrival = self.now
+            super().on_start()
+
+        def on_message(self, frm, payload):
+            if self.arrival is None:
+                self.arrival = self.now
+            super().on_message(frm, payload)
+
+    net = Network(graph, lambda v: Arrival(v == source, "x"),
+                  delay=PerEdgeDelay(lambda u, v, w: delays[(u, v)]))
+    net.run()
+    return {v: p.arrival for v, p in net.processes.items()}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_delay_propagation_asymmetric(seed):
+    # The paper's delay model lets each directed traversal of e take any
+    # delay in [0, w(e)]; a flood delivers to v at the directed shortest
+    # path over the delays.  Each orientation draws independently,
+    # including exact zeros.
     g = random_connected_graph(15, 18, seed=seed)
-    csr = CSRGraph(g)
-    npg = npk.NPGraph(csr)
     rng = random.Random(seed + 100)
-    # Per-direction delays in [0, w], including exact zeros — each
-    # orientation of an edge draws independently (the paper's adversary
-    # may delay the two directions differently).
-    delays = [
-        w * rng.choice((0.0, 0.25, 0.5, 1.0)) for w in csr.weights
-    ]
-    for source in range(0, csr.n, 4):
-        got = npk.np_delay_propagation(npg, source, delays)
-        assert got == _directed_dijkstra(csr, delays, source)
+    delays = {}
+    for u, v, w in g.edges():
+        delays[(u, v)] = w * rng.choice((0.0, 0.25, 0.5, 1.0))
+        delays[(v, u)] = w * rng.choice((0.0, 0.25, 0.5, 1.0))
+    for source in g.vertices[::4]:
+        assert _flood_arrivals(g, delays, source) == \
+            _directed_dijkstra(g, delays, source)
 
 
-@requires_numpy
 def test_delay_propagation_validation():
-    npg = _np_graph(path_graph(4))
-    with pytest.raises(ValueError, match="one entry per directed"):
-        npk.np_delay_propagation(npg, 0, [1.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        npk.np_delay_propagation(npg, 0, [-1.0] * npg.m2)
-    with pytest.raises(IndexError):
-        npk.np_delay_propagation(npg, 99)
-    with pytest.raises(IndexError):
-        npk.np_sssp_dist(npg, -1)
-
-
-@requires_numpy
-def test_reverse_permutation_is_involution():
-    npg = _np_graph(random_connected_graph(12, 20, seed=9))
-    rev = npg.rev
-    for j in range(npg.m2):
-        assert rev[int(rev[j])] == j
-        assert int(npg.indices[int(rev[j])]) == int(npg.edge_u[j])
+    g = path_graph(4)
+    delays = {(u, v): w for u, v, w in g.edges()}
+    delays.update({(v, u): w for (u, v), w in list(delays.items())})
+    for bad in (-1.0, 2.0):  # outside [0, w] with w = 1
+        delays[(1, 2)] = bad
+        with pytest.raises(ValueError, match="outside"):
+            _flood_arrivals(g, delays, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -291,7 +313,7 @@ def _tie_square() -> WeightedGraph:
     return g
 
 
-def test_prim_tie_break_pinned(each_backend):
+def test_prim_tie_break_pinned(each_scan_path):
     # From root a: pushes (a,b) then (a,d); pop (a,b) -> push (b,c);
     # pop (a,d) [earlier push beats (b,c)'s]; pop (b,c).  Edge (c,d)
     # never enters the tree.
@@ -299,7 +321,7 @@ def test_prim_tie_break_pinned(each_backend):
     assert list(tree.edges()) == [("a", "b", 1), ("a", "d", 1), ("b", "c", 1)]
 
 
-def test_kruskal_tie_break_pinned(each_backend):
+def test_kruskal_tie_break_pinned(each_scan_path):
     from repro.graphs import kruskal_mst
 
     # edges() order: (a,b), (a,d), (b,c), (c,d); stable sort keeps it;
@@ -308,30 +330,25 @@ def test_kruskal_tie_break_pinned(each_backend):
     assert list(tree.edges()) == [("a", "b", 1), ("a", "d", 1), ("b", "c", 1)]
 
 
-@requires_numpy
 def test_prim_equal_weight_randomized():
-    # All-unit weights maximize tie pressure; every implementation must
-    # still pick the same tree edge-for-edge.
+    # All-unit weights maximize tie pressure; the snapshot Prim must
+    # still pick the dict oracle's tree edge-for-edge.
     for seed in range(8):
         g = random_connected_graph(16, 20, seed=seed, max_weight=1)
-        csr = CSRGraph(g)
-        got = npk.np_prim_mst(npk.NPGraph(csr))
-        assert list(got.edges()) == list(csr_prim_mst(csr).edges())
+        got = csr_prim_mst(FlatGraph.from_graph(g))
+        assert list(got.edges()) == list(prim_mst_dicts(g).edges())
 
 
-@requires_numpy
 def test_total_weight_repr_preserves_int_vs_float():
     ints = random_connected_graph(10, 8, seed=2)  # int weights
     fracs = _fractional_graph(3)  # float weights
     for g in (ints, fracs):
-        csr = CSRGraph(g)
-        npg = npk.NPGraph(csr)
-        for build in (npk.np_prim_mst, npk.np_kruskal_mst):
-            total = build(npg).total_weight()
-            oracle = csr_prim_mst(csr).total_weight()
-            assert type(total) is type(oracle)
-    # int graphs must sum to a plain int, never numpy.float64
-    assert type(npk.np_prim_mst(_np_graph(ints)).total_weight()) is int
+        flat = FlatGraph.from_graph(g)
+        oracle = prim_mst_dicts(g).total_weight()
+        for build in (csr_prim_mst, csr_kruskal_mst):
+            assert type(build(flat).total_weight()) is type(oracle)
+    # int graphs must sum to a plain int, never a float from the buffers
+    assert type(csr_prim_mst(FlatGraph.from_graph(ints)).total_weight()) is int
 
 
 # --------------------------------------------------------------------- #
@@ -339,7 +356,6 @@ def test_total_weight_repr_preserves_int_vs_float():
 # --------------------------------------------------------------------- #
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_sweep(seed):
     rng = random.Random(seed * 7919 + 1)
@@ -352,37 +368,61 @@ def test_randomized_sweep(seed):
             g.add_edge(u, v, rng.randint(1, 64) / 16)
     if seed % 4 == 0:
         g.add_vertex(("lonely", seed))  # disconnect
-    csr = CSRGraph(g)
-    npg = npk.NPGraph(csr)
-    assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
-    source = rng.randrange(csr.n)
-    dist_map, _ = sssp_maps(csr, csr.verts[source])
-    assert npk.np_sssp_dist(npg, source) == [
-        dist_map.get(v, math.inf) for v in csr.verts
-    ]
+    flat = _assert_both_paths_match_oracle(g)
+    source = g.vertices[rng.randrange(flat.n)]
+    assert sssp_maps(flat, source) == dijkstra(g, source)
     if g.is_connected():
-        assert (list(npk.np_prim_mst(npg).edges())
-                == list(csr_prim_mst(csr).edges()))
-        assert (list(npk.np_kruskal_mst(npg).edges())
-                == list(csr_kruskal_mst(csr).edges()))
+        assert (list(csr_prim_mst(flat).edges())
+                == list(prim_mst_dicts(g).edges()))
+        assert (list(csr_kruskal_mst(flat).edges())
+                == list(kruskal_mst_dicts(g).edges()))
     else:
         with pytest.raises(ValueError):
-            npk.np_prim_mst(npg)
+            csr_prim_mst(flat)
 
 
 # --------------------------------------------------------------------- #
-# WeightedGraph edge cases flow through both backends identically
+# The regime rule on the graph_params workload shapes
 # --------------------------------------------------------------------- #
 
 
-def test_self_loop_rejected_before_any_kernel(each_backend):
+@pytest.mark.parametrize("factory,fw", [
+    (lambda: random_connected_graph(700, 700, seed=1), False),
+    (lambda: lower_bound_graph(300), False),
+    (lambda: random_connected_graph(300, 12000, seed=2), True),
+], ids=["sparse_700", "G_300", "dense_300"])
+def test_regime_rule_on_graph_params_shapes(factory, fw):
+    # Sparse and heavy-weight shapes run the Python loop (G_300's X^4
+    # bypass weights overflow int32, so Floyd–Warshall is not even
+    # exact there); the dense shape runs Floyd–Warshall.  Both paths
+    # must match the dict oracles wherever they are exact.
+    g = factory()
+    flat = FlatGraph.from_graph(g)
+    assert _fw_applicable(flat) is fw
+    ecc, diam, d = _oracle_scan(g)
+    py = _python_scan(flat, 0, flat.n)
+    assert (py.ecc, py.diameter, py.max_neighbor_distance) == (ecc, diam, d)
+    if flat.integral and (flat.n - 1) * flat.wmax < csr_module._FW_SENTINEL:
+        assert _fw_scan(flat) == py
+    assert source_scan(flat) == py
+    assert list(csr_prim_mst(flat).edges()) == list(prim_mst_dicts(g).edges())
+    assert (list(csr_kruskal_mst(flat).edges())
+            == list(kruskal_mst_dicts(g).edges()))
+
+
+# --------------------------------------------------------------------- #
+# WeightedGraph edge cases flow through both scan paths identically
+# --------------------------------------------------------------------- #
+
+
+def test_self_loop_rejected_before_any_kernel(each_scan_path):
     g = path_graph(3)
     with pytest.raises(ValueError):
         g.add_edge(1, 1, 1.0)
     assert prim_mst(g).num_vertices == 3
 
 
-def test_parallel_edge_overwrite_reflected(each_backend):
+def test_parallel_edge_overwrite_reflected(each_scan_path):
     g = WeightedGraph()
     g.add_edge("a", "b", 5)
     g.add_edge("b", "c", 1)
@@ -393,97 +433,44 @@ def test_parallel_edge_overwrite_reflected(each_backend):
     assert list(prim_mst(g).edges()) == [("a", "b", 2), ("b", "c", 1)]
 
 
-# --------------------------------------------------------------------- #
-# Backend selector semantics
-# --------------------------------------------------------------------- #
-
-
-def test_selector_env_values(monkeypatch):
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "python")
-    assert npk.requested_backend() == "python"
-    assert npk.kernel_backend() == "python"
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "auto")
-    assert npk.kernel_backend() == (
-        "numpy" if npk.numpy_available() else "python"
-    )
-    monkeypatch.delenv(npk.KERNEL_BACKEND_ENV)
-    assert npk.requested_backend() == "auto"
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "cupy")
-    with pytest.raises(ValueError, match="not a valid kernel backend"):
-        npk.requested_backend()
-
-
-def test_selector_override_beats_env(monkeypatch):
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "python")
-    npk.set_kernel_backend("auto")
-    try:
-        assert npk.requested_backend() == "auto"
-    finally:
-        npk.set_kernel_backend(None)
-    assert npk.requested_backend() == "python"
-    with pytest.raises(ValueError):
-        npk.set_kernel_backend("fortran")
-
-
-def test_selector_graceful_without_numpy(monkeypatch):
-    # Simulate an environment with no numpy: even an explicit
-    # REPRO_KERNEL_BACKEND=numpy must fall back to python silently.
-    monkeypatch.setattr(npk, "_np_module", None)
-    monkeypatch.setattr(npk, "_np_checked", True)
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "numpy")
-    assert not npk.numpy_available()
-    assert npk.kernel_backend() == "python"
-    info = npk.backend_info()
-    assert info == {"requested": "numpy", "resolved": "python", "numpy": None}
-    with pytest.raises(RuntimeError, match="numpy is not available"):
-        npk.NPGraph(CSRGraph(path_graph(3)))
-    # public API keeps working on the python kernels
-    tree = prim_mst(path_graph(4))
-    assert tree.num_edges == 3
-
-
 def test_backend_info_reports_versions():
-    info = npk.backend_info()
-    assert info["requested"] in ("auto", "numpy", "python")
-    assert info["resolved"] in ("numpy", "python")
-    if npk.numpy_available():
-        assert isinstance(info["numpy"], str)
+    import numpy
+
+    info = backend_info()
+    assert info["resolved"] == "by-graph"
+    assert info["numpy"] == numpy.__version__
 
 
 # --------------------------------------------------------------------- #
-# Cache integration: numpy snapshots share the version invalidation
+# Cache integration: the numpy view lives on the versioned snapshot
 # --------------------------------------------------------------------- #
 
 
-@requires_numpy
-def test_cache_flushes_numpy_snapshot_on_mutation(monkeypatch):
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "numpy")
+def test_cache_flushes_numpy_snapshot_on_mutation():
     g = random_connected_graph(10, 8, seed=1)
     cache = param_cache(g)
-    d1 = cache.diameter()
-    assert cache.np_builds == 1
+    d1 = cache.diameter()  # small integral graph: Floyd–Warshall
     first = cache.npg()
-    assert first.version == g.version
-    assert cache.npg() is first  # memoized within a version
-    assert cache.np_builds == 1
+    assert first is cache.flat().arrays()  # memoized on the snapshot
+    assert cache.npg() is first
     u, v, w = next(iter(g.edges()))
     g.add_edge(u, v, w + 100)  # overwrite bumps version
     d2 = cache.diameter()
-    assert cache.np_builds == 2
     second = cache.npg()
     assert second is not first
-    assert second.version == g.version
-    assert cache.stats()["np_builds"] == 2
-    assert d2 >= 0 and d1 >= 0
+    assert cache.flat().version == g.version
+    assert cache.stats()["flat_builds"] == 2
+    assert d2 >= d1 >= 0
 
 
-@requires_numpy
-def test_python_backend_never_builds_numpy_snapshot(monkeypatch):
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "python")
-    g = random_connected_graph(10, 8, seed=1)
+def test_python_backend_never_builds_numpy_snapshot():
+    # A sparse graph past the small-n cutoff selects the Python loop, so
+    # nothing ever asks for the numpy view.
+    g = random_connected_graph(600, 300, seed=1)
     cache = param_cache(g)
     cache.network_params()
-    assert cache.np_builds == 0
+    assert not _fw_applicable(cache.flat())
+    assert cache.flat()._arrays is None
 
 
 # --------------------------------------------------------------------- #
@@ -492,42 +479,41 @@ def test_python_backend_never_builds_numpy_snapshot(monkeypatch):
 
 
 def test_dial_cap_heavy_lower_bound_family():
-    # G_n carries bypass edges of weight X^4 (X = n + 1): at n = 40 the
-    # Dial bucket count would be ~1.1e8 lists — the cap must route this
-    # to the heap discipline (and the scan must still be exact).
+    # G_n carries bypass edges of weight X^4 (X = n + 1): at n = 40 Dial
+    # would step through ~1.1e8 distances — the cap must route this to
+    # the heap discipline (and the scan must still be exact).
     g = lower_bound_graph(40)
-    csr = CSRGraph(g)
-    assert csr.iadj is not None  # weights are integral...
-    bound = (csr.n - 1) * csr.wmax + 1
+    flat = FlatGraph.from_graph(g)
+    assert flat.integral  # weights are integral...
+    bound = (flat.n - 1) * flat.wmax + 1
     assert bound > csr_module._DIAL_BOUND_CAP  # ...but far too heavy
-    scan = all_sources_scan(csr)
+    scan = _python_scan(flat, 0, flat.n)
     # independent check against per-source heap Dijkstra
-    for s in (0, csr.n // 2, csr.n - 1):
-        dist_map, _ = sssp_maps(csr, csr.verts[s])
+    for s in (0, flat.n // 2, flat.n - 1):
+        dist_map, _ = sssp_maps(flat, flat.verts[s])
         assert scan.ecc[s] == max(dist_map.values())
 
 
 def test_dial_and_heap_disciplines_agree(monkeypatch):
     g = random_connected_graph(16, 22, seed=11)
-    dial = all_sources_scan(CSRGraph(g))
+    dial = _python_scan(FlatGraph.from_graph(g), 0, 16, digest=True)
     monkeypatch.setattr(csr_module, "_DIAL_BOUND_CAP", 0)
-    heap = all_sources_scan(CSRGraph(g))
+    heap = _python_scan(FlatGraph.from_graph(g), 0, 16, digest=True)
     assert dial == heap
 
 
-@requires_numpy
 def test_heavy_weights_numpy_still_identical():
     g = lower_bound_graph(40)
-    csr = CSRGraph(g)
-    assert npk.np_all_sources_scan(npk.NPGraph(csr)) == all_sources_scan(csr)
+    flat = FlatGraph.from_graph(g)
+    assert _fw_applicable(flat)  # X^4 * n still fits int32 at n = 40
+    assert _fw_scan(flat, digest=True) == _python_scan(flat, 0, flat.n, digest=True)
 
 
 # --------------------------------------------------------------------- #
-# Dense Floyd-Warshall path vs the blocked relaxation path
+# Dense Floyd–Warshall path vs the Python relaxation loop
 # --------------------------------------------------------------------- #
 
 
-@requires_numpy
 @pytest.mark.parametrize("factory", [
     lambda: complete_graph(40),
     lambda: random_connected_graph(64, 900, seed=21),
@@ -535,98 +521,100 @@ def test_heavy_weights_numpy_still_identical():
     lambda: lower_bound_graph(24),
     lambda: _disconnected_graph(),
 ])
-def test_fw_and_relaxation_paths_agree(factory, monkeypatch):
-    # Both numpy scan formulations must be value-identical on any graph
-    # the FW dispatch accepts; the oracle pins them both.
-    csr = CSRGraph(factory())
-    npg = npk.NPGraph(csr)
-    assert npk._fw_applicable(npg)
-    fw_scan = npk.np_all_sources_scan(npg)
-    monkeypatch.setattr(npk, "_fw_applicable", lambda _npg: False)
-    bf_scan = npk.np_all_sources_scan(npg)
-    assert fw_scan == bf_scan == all_sources_scan(csr)
+def test_fw_and_relaxation_paths_agree(factory):
+    # Both scan formulations must be value-identical on any graph the FW
+    # dispatch accepts; the dict oracle pins them both.
+    g = factory()
+    assert _fw_applicable(FlatGraph.from_graph(g))
+    _assert_both_paths_match_oracle(g)
 
 
-@requires_numpy
 def test_fw_dispatch_boundaries():
+    def applicable(g):
+        return _fw_applicable(FlatGraph.from_graph(g))
+
     # Fractional weights: never FW (min-plus would re-associate sums).
-    assert not npk._fw_applicable(npk.NPGraph(CSRGraph(_fractional_graph(7))))
-    # Large sparse: blocked relaxation (work should scale with m, not n^2).
-    tree = random_connected_graph(600, 0, seed=2)
-    assert not npk._fw_applicable(npk.NPGraph(CSRGraph(tree)))
+    assert not applicable(_fractional_graph(7))
+    # Large sparse: the Python loop (work should scale with m, not n^2).
+    assert not applicable(random_connected_graph(600, 0, seed=2))
     # Large dense clears the density threshold.
-    dense = random_connected_graph(600, 24000, seed=2)
-    npg = npk.NPGraph(CSRGraph(dense))
-    assert npg.m2 * npk._FW_DENSE_FACTOR >= npg.n * npg.n
-    assert npk._fw_applicable(npg)
+    dense = FlatGraph.from_graph(random_connected_graph(600, 24000, seed=2))
+    assert dense.m2 * csr_module._FW_DENSE_FACTOR >= dense.n * dense.n
+    assert _fw_applicable(dense)
     # Integer weights too heavy for the int32 sentinel fall back too.
-    heavy = path_graph(3, (1 << 30))
-    assert not npk._fw_applicable(npk.NPGraph(CSRGraph(heavy)))
+    assert not applicable(path_graph(3, (1 << 30)))
 
 
-@requires_numpy
 def test_fw_sentinel_boundary_weights_exact():
-    # int_bound == _FW_SENTINEL exactly: the largest admissible weights.
-    # SENT + SENT must not overflow int32, or an "unreached" candidate
-    # would wrap negative and beat every real distance.
+    # (n-1)*wmax + 1 == _FW_SENTINEL exactly: the largest admissible
+    # weights.  SENT + SENT must not overflow int32, or an "unreached"
+    # candidate would wrap negative and beat every real distance.
     w = (1 << 29) - 1
-    g = path_graph(3, w)
-    csr = CSRGraph(g)
-    npg = npk.NPGraph(csr)
-    assert npg.int_bound == npk._FW_SENTINEL
-    assert npk._fw_applicable(npg)
-    assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
+    flat = FlatGraph.from_graph(path_graph(3, w))
+    assert (flat.n - 1) * int(flat.wmax) + 1 == csr_module._FW_SENTINEL
+    assert _fw_applicable(flat)
+    assert _fw_scan(flat, digest=True) == _python_scan(flat, 0, 3, digest=True)
 
 
 # --------------------------------------------------------------------- #
-# Fractional-weight fallback (the thin path, now covered directly)
+# Fractional-weight regime
 # --------------------------------------------------------------------- #
 
 
-def test_float_integral_weights_use_dial(each_backend):
+def test_float_integral_weights_use_dial(each_scan_path):
     g = _float_integral_graph()
-    csr = CSRGraph(g)
-    assert csr.iadj is not None  # float-typed but integral: Dial eligible
+    flat = FlatGraph.from_graph(g)
+    assert flat.integral  # float-typed but integral: Dial eligible
     cache = param_cache(g)
-    assert cache.diameter() == all_sources_scan(csr).diameter
+    assert cache.diameter() == source_scan(flat).diameter
+    assert cache.diameter() == _python_scan(flat, 0, flat.n).diameter
 
 
-def test_mixed_weights_use_heap(each_backend):
+def test_mixed_weights_use_heap(each_scan_path):
     g = _mixed_weight_graph(5)
-    csr = CSRGraph(g)
-    assert csr.iadj is None  # fractional: Dial ineligible
+    flat = FlatGraph.from_graph(g)
+    assert not flat.integral  # fractional: Dial ineligible
     cache = param_cache(g)
-    scan = all_sources_scan(csr)
+    scan = source_scan(flat)
     assert cache.diameter() == scan.diameter
     assert cache.max_neighbor_distance() == scan.max_neighbor_distance
 
 
-@requires_numpy
 @pytest.mark.parametrize("factory", [
     _fractional_graph, _mixed_weight_graph,
 ], ids=["fractional", "mixed"])
 def test_fractional_backends_agree(factory):
     g = factory(4)
-    csr = CSRGraph(g)
-    npg = npk.NPGraph(csr)
-    assert not npg.use_int  # float regime
-    assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
-    assert (list(npk.np_prim_mst(npg).edges())
-            == list(csr_prim_mst(csr).edges()))
+    flat = _assert_both_paths_match_oracle(g)
+    assert not _fw_applicable(flat)  # float regime: the Python loop only
+    assert list(csr_prim_mst(flat).edges()) == list(prim_mst_dicts(g).edges())
 
 
 # --------------------------------------------------------------------- #
-# Serial == pool byte-identity holds under both backends
+# Serial == pool byte-identity holds on both scan paths
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_chaos_rows_serial_equals_pool_per_backend(backend, monkeypatch):
-    if backend == "numpy" and not npk.numpy_available():
-        pytest.skip("numpy not installed")
+def _clear_chaos_memos():
+    """Drop memoized chaos cases: their graphs (and caches) get rebuilt."""
+    from repro.experiments import parallel
+
+    parallel._cases_by_name.cache_clear()
+    parallel._reference.cache_clear()
+
+
+def _force_python_scan(monkeypatch):
+    _clear_chaos_memos()
+    monkeypatch.setattr(csr_module, "_fw_applicable", lambda _flat: False)
+
+
+@pytest.mark.parametrize("path", ["python", "numpy"])
+def test_chaos_rows_serial_equals_pool_per_backend(path, monkeypatch):
     from repro.experiments.parallel import chaos_rows, shutdown_pool
 
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+    shutdown_pool()  # forked workers inherit the forced path
+    if path == "python":
+        _force_python_scan(monkeypatch)
     kw = dict(n=10, extra_edges=12, graph_seed=4, drop_rates=(0.0, 0.2))
     try:
         serial = chaos_rows(jobs=1, **kw)
@@ -636,14 +624,12 @@ def test_chaos_rows_serial_equals_pool_per_backend(backend, monkeypatch):
     assert serial == pooled
 
 
-@requires_numpy
 def test_chaos_rows_identical_across_backends(monkeypatch):
     from repro.experiments.parallel import chaos_rows
 
     kw = dict(n=8, extra_edges=6, graph_seed=3, drop_rates=(0.0, 0.1),
               jobs=1)
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "python")
-    py_rows = chaos_rows(**kw)
-    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "numpy")
-    np_rows = chaos_rows(**kw)
-    assert py_rows == np_rows
+    _clear_chaos_memos()
+    rule_rows = chaos_rows(**kw)
+    _force_python_scan(monkeypatch)
+    assert chaos_rows(**kw) == rule_rows

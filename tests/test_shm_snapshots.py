@@ -2,7 +2,7 @@
 
 The tentpole contract, end to end: a graph published once is swept by
 pool workers zero-copy (exactly one build, counted), serial and pooled
-row lists are byte-identical under both kernel backends, re-publishing a
+row lists are byte-identical on both scan paths, re-publishing a
 mutated graph invalidates the stale segment, ``shutdown_pool()`` unlinks
 everything, and a worker process that cannot reach shared memory falls
 back to a spec rebuild instead of crashing.  A subprocess leg asserts
@@ -32,6 +32,7 @@ from repro.graphs import (
     random_connected_flat,
     random_connected_graph,
     shm_available,
+    source_scan,
 )
 from repro.graphs import shm
 from repro.graphs.csr import flat_stripe_stats
@@ -167,7 +168,7 @@ def test_creation_failure_falls_back_and_warns_once(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_sweep_one_build_serial_pool_identity(each_backend):
+def test_sweep_one_build_serial_pool_identity(each_scan_path):
     flat = random_connected_flat(2000, 3000, seed=17)
     handle = shm.publish(flat, key="sweep")
     assert shm.stats()["shm_creates"] == 1
@@ -197,14 +198,17 @@ def test_sweep_one_build_serial_pool_identity(each_backend):
 
 
 def test_snapshot_cells_pin_kernel_and_validate():
+    # Cells carry only the handle and a range: the snapshot itself pins
+    # which scan runs, so a cell's row is exactly source_scan's fold.
     flat = random_connected_flat(30, 40, seed=2)
     handle = shm.publish(flat)
     cells = snapshot_cells(handle, kind="sources", limit=10, cell_size=4)
     assert [(c.lo, c.hi) for c in cells] == [(0, 4), (4, 8), (8, 10)]
-    assert all(c.kernel in ("python", "numpy") for c in cells)
     row = run_snapshot_cell(cells[0])
-    assert row["kind"] == "sources"
-    assert row["sources"] == 4
+    scan = source_scan(flat, 0, 4, digest=True)
+    assert row == {"kind": "sources", "lo": 0, "hi": 4, "sources": 4,
+                   "reach_min": scan.reach_min, "ecc_max": max(scan.ecc),
+                   "digest": scan.digest}
     with pytest.raises(ValueError):
         snapshot_cells(handle, kind="nope")
     with pytest.raises(ValueError):
@@ -271,3 +275,25 @@ def test_subprocess_leaves_no_segments_or_tracker_noise():
     assert not _segment_exists(segment), "segment outlived the process"
     for noise in ("leaked", "resource_tracker", "BufferError", "Traceback"):
         assert noise not in proc.stderr, proc.stderr
+
+
+_STATS_SCRIPT = """
+from multiprocessing import resource_tracker
+from repro.graphs import param_cache, random_connected_graph
+from repro.graphs import shm
+
+stats = param_cache(random_connected_graph(10, 10, seed=1)).stats()
+print(stats["shm_available"], shm._available,
+      resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_reading_stats_starts_no_resource_tracker():
+    # The availability probe creates a segment, which starts a tracker
+    # process; reading the counters must not run it.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", _STATS_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None", "None", "None"]
