@@ -221,7 +221,7 @@ class RaceDetector:
     def note_scheduled(self, payload: Any) -> None:
         """Fingerprint one scheduled delivery of ``payload``.
 
-        Called by :meth:`Network._transmit` once per delivery it schedules
+        Called by the armed send path once per delivery it schedules
         (the fault adversary may fan one send into several deliveries, a
         corrupted copy, or none).
         """

@@ -90,6 +90,10 @@ class _AuditShim:
         return self._outer.ctx.now
 
     @property
+    def traced(self):
+        return self._outer.ctx.traced
+
+    @property
     def is_finished(self):
         return self._outer.ctx.is_finished
 

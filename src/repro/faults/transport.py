@@ -73,6 +73,10 @@ class _ReliableContext:
     def now(self) -> float:
         return self._outer.ctx.now
 
+    @property
+    def traced(self) -> bool:
+        return self._outer.ctx.traced
+
     def send(self, to: Vertex, payload: Any, size: float,
              tag: str | None) -> None:
         self._outer._send_data(to, payload, size, tag)

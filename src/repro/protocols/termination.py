@@ -45,6 +45,10 @@ class _InnerShim:
     def now(self) -> float:
         return self._host.ctx.now
 
+    @property
+    def traced(self) -> bool:
+        return self._host.ctx.traced
+
     def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
         self._host.ds_send(to, payload, size, tag)
 

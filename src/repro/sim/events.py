@@ -243,6 +243,7 @@ class EventQueue:
         max_time: float = float("inf"),
         max_events: int | None = None,
         check_halt: bool = True,
+        stop_when: Callable[[], bool] | None = None,
     ) -> tuple[str, int]:
         """Drain the queue in one tight loop; return ``(reason, n_events)``.
 
@@ -255,7 +256,16 @@ class EventQueue:
         * ``"max_events"`` — ``max_events`` events fired;
         * ``"halted"``     — a callback set :attr:`halted` (cleared on
           entry, probed after every event unless ``check_halt`` is False —
-          callers that know no callback halts may skip the probe).
+          callers that know no callback halts may skip the probe);
+        * ``"stopped"``    — ``stop_when()`` returned True while events
+          were still queued.  It is probed before the first event and
+          after every event, right after the halt probe, so a run stops
+          on the first event boundary where it holds.  A queue that
+          drains is ``"empty"`` whatever the predicate says.
+
+        After an event, the ``max_events`` limit is checked first, then
+        the halt flag, then the predicate; the next event's ``max_time``
+        check comes last.
 
         Semantically identical to ``while self.step(): ...`` with the same
         guards, but substantially faster: the heap and pop are locals,
@@ -263,6 +273,8 @@ class EventQueue:
         *before* dispatch (same-time events scheduled by callbacks open a
         fresh batch, which preserves the firing order), and single-event
         batches take a dedicated fast path with no cursor bookkeeping.
+        An interrupted batch is re-queued under its original seq, so a
+        later drain resumes it in order.
 
         If a callback raises, the exception propagates and the queue must
         be treated as spent: the remainder of the batch being drained may
@@ -279,6 +291,11 @@ class EventQueue:
         limit = max_events if max_events is not None else -1
         if limit == 0:
             return ("max_events", 0)
+        if stop_when is not None and heap and stop_when():
+            return ("stopped", 0)
+        # One flag for the post-event probes: a plain drain pays a single
+        # local test per event.
+        probe = check_halt or stop_when is not None
         try:
             while heap:
                 entry = heap[0]
@@ -301,10 +318,13 @@ class EventQueue:
                     args = entry[i + 1]
                     fn(*args)
                     events += 1
-                    if events == limit or (check_halt and self.halted):
-                        if self.halted:
+                    if events == limit or probe:
+                        if events == limit:
+                            return ("max_events", events)
+                        if check_halt and self.halted:
                             return ("halted", events)
-                        return ("max_events", events)
+                        if stop_when is not None and heap and stop_when():
+                            return ("stopped", events)
                     continue
                 while i < n:
                     fn = entry[i]
@@ -312,16 +332,23 @@ class EventQueue:
                     i += 2
                     fn(*args)
                     events += 1
-                    if events == limit or (check_halt and self.halted):
+                    if events == limit or probe:
+                        if events == limit:
+                            reason = "max_events"
+                        elif check_halt and self.halted:
+                            reason = "halted"
+                        elif (stop_when is not None and (i < n or heap)
+                              and stop_when()):
+                            reason = "stopped"
+                        else:
+                            continue
                         if i < n:
                             # Re-queue the remainder under its original
                             # seq so it still fires before any same-time
                             # batch opened meanwhile.
                             entry[2] = i
                             _heappush(heap, entry)
-                        if self.halted:
-                            return ("halted", events)
-                        return ("max_events", events)
+                        return (reason, events)
             return ("empty", events)
         finally:
             # One batched update instead of a per-event decrement; the

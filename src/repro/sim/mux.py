@@ -46,6 +46,10 @@ class _PartContext:
     def now(self) -> float:
         return self._outer.ctx.now
 
+    @property
+    def traced(self) -> bool:
+        return self._outer.ctx.traced
+
     def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
         # Namespace the metrics tag by part key so hybrids can split costs.
         full_tag = self._key if tag is None else f"{self._key}.{tag}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from contextlib import nullcontext
+from functools import partial
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
@@ -39,9 +40,17 @@ _NULL_SPAN = nullcontext()
 
 
 class _NodeContext:
-    """Injected into each process; mediates all interaction with the network."""
+    """Injected into each process; mediates all interaction with the network.
 
-    __slots__ = ("_network", "node_id", "neighbors", "weights", "is_finished", "result")
+    This class carries the plain send path: no budget, recorder, race
+    detector, fault plan or serialized channels.  A network with any of
+    those armed builds :class:`_ArmedContext` instead, so the choice is
+    made once at construction and a plain send pays for none of them.
+    """
+
+    __slots__ = ("_network", "node_id", "neighbors", "weights", "is_finished",
+                 "result", "traced", "_queue", "_metrics", "_delay", "_rng",
+                 "_clear", "_deliver", "_default_tag")
 
     def __init__(self, network: Network, node_id: Vertex) -> None:
         self._network = network
@@ -50,15 +59,41 @@ class _NodeContext:
         self.weights = network.graph.neighbor_weights(node_id)
         self.is_finished = False
         self.result: Any = None
+        #: True when a recorder is attached; layered hosts read it once to
+        #: skip their no-op trace spans on untraced runs.
+        self.traced = network._rec is not None
+        self._queue = network.queue
+        self._metrics = network.metrics
+        self._delay = network.delay_model
+        self._rng = network.rng
+        # Channel-clear time of each outgoing channel, keyed by receiver.
+        self._clear: dict[Vertex, float] = {}
+        self._deliver = network._deliver
+        self._default_tag = network.default_tag
 
     @property
     def now(self) -> float:
-        return self._network.queue.now
+        return self._queue.now
 
     def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        if to not in self.weights:
-            raise ValueError(f"{self.node_id!r} has no edge to {to!r}")
-        self._network._transmit(self.node_id, to, payload, size, tag)
+        try:
+            weight = self.weights[to]
+        except KeyError:
+            raise ValueError(f"{self.node_id!r} has no edge to {to!r}") from None
+        frm = self.node_id
+        self._metrics.record_message(weight, size, tag or self._default_tag)
+        queue = self._queue
+        arrive = queue.now + self._delay.delay(frm, to, weight, self._rng)
+        # FIFO per directed channel even with pipelining: a message may
+        # not overtake an earlier one on the same channel.
+        clear = self._clear.get(to, 0.0)
+        if arrive < clear:
+            arrive = clear
+        self._clear[to] = arrive
+        # schedule_call_at stores (fn, args) in the event's slots: no
+        # capturing closure is allocated per message, and same-time
+        # deliveries batch into one heap entry (see sim.events).
+        queue.schedule_call_at(arrive, self._deliver, frm, to, payload)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
         self._network._set_node_timer(self.node_id, delay, callback)
@@ -83,13 +118,88 @@ class _NodeContext:
             net._rec.record_pulse(net.queue.now, self.node_id, pulse)
 
 
+class _ArmedContext(_NodeContext):
+    """The general send path: budget, recorder, race detector, faults and
+    serialized channels, each consulted only when armed."""
+
+    __slots__ = ()
+
+    def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
+        try:
+            weight = self.weights[to]
+        except KeyError:
+            raise ValueError(f"{self.node_id!r} has no edge to {to!r}") from None
+        net = self._network
+        frm = self.node_id
+        if frm in net._down:
+            return  # a crashed node cannot transmit
+        metrics = self._metrics
+        queue = self._queue
+        if net.comm_budget is not None and (
+            metrics.comm_cost + weight * size > net.comm_budget
+        ):
+            net.budget_exhausted = True
+            # Also halt the event queue's drain loop (run() probes this
+            # flag after every event when a budget is configured).
+            queue.halted = True
+            return
+        tag = tag or self._default_tag
+        metrics.record_message(weight, size, tag)
+        now = queue.now
+        rec = net._rec
+        if rec is not None:
+            msg_id = rec.record_send(now, frm, to, tag, weight * size, size)
+        delay = self._delay.delay(frm, to, weight, self._rng)
+        clear = self._clear.get(to, 0.0)
+        if net.serialize:
+            arrive = max(now, clear) + delay
+        else:
+            arrive = max(now + delay, clear)
+        # The channel timing of a transmission is independent of its fate:
+        # a dropped message still occupied the channel (it was transmitted,
+        # then lost) and still cost w(e) * size above — the sender pays per
+        # transmission, which is what makes retransmission overhead a
+        # meaningful cost-sensitive quantity.
+        self._clear[to] = arrive
+        race = net._race
+        # The deliver methods are looked up per send: the race detector
+        # swaps in wrapped ones after the contexts are built.
+        if net.faults is None:
+            if rec is None:
+                queue.schedule_call_at(arrive, net._deliver, frm, to, payload)
+            else:
+                queue.schedule_call_at(arrive, net._deliver_traced,
+                                       frm, to, payload, msg_id)
+            if race is not None:
+                race.note_scheduled(payload)
+            return
+        fate, deliveries = net.faults.fate(frm, to, weight, payload,
+                                           net.fault_rng)
+        if fate != "deliver":
+            metrics.record_fault(fate)
+            if rec is not None:
+                rec.record_drop(now, frm, to, fate, ref=msg_id)
+        for extra, out_payload in deliveries:
+            # Extra adversarial delay (duplicates, reorders) bypasses the
+            # FIFO clamp on purpose: later messages may overtake.
+            if rec is None:
+                queue.schedule_call_at(arrive + extra, net._deliver,
+                                       frm, to, out_payload)
+            else:
+                queue.schedule_call_at(arrive + extra, net._deliver_traced,
+                                       frm, to, out_payload, msg_id)
+            if race is not None:
+                race.note_scheduled(out_payload)
+
+
 class RunResult:
     """Outcome of a simulation run: metrics, per-node results, and status.
 
     ``status`` says *why* the run stopped:
 
     * ``"quiescent"`` — the event queue drained (normal completion);
-    * ``"stopped"`` — the caller's ``stop_when`` predicate fired;
+    * ``"stopped"`` — the caller's ``stop_when`` predicate fired while
+      events were still queued;
     * ``"max_time"`` — the watchdog deadline was reached with events still
       pending (no event beyond the deadline is executed);
     * ``"budget_exhausted"`` — a send was suppressed by the communication
@@ -165,7 +275,7 @@ class Network:
         active, else no tracing.  A recorder with ``enabled = False``
         (e.g. :class:`~repro.obs.recorder.NullRecorder`) is normalized
         away at construction so the hot path pays a single ``is None``
-        check.  Composes with ``trace``: when both are given, both fire.
+        check.
     race_detect:
         Arm the :class:`~repro.analysis.race.RaceDetector`: ``True``
         raises :class:`~repro.analysis.race.SharedStateViolation` on the
@@ -187,7 +297,6 @@ class Network:
         serialize: bool = False,
         default_tag: str = "msg",
         comm_budget: float | None = None,
-        trace: Callable[[float, Vertex, Vertex, str, float], None] | None = None,
         faults: Any | None = None,
         recorder: Any | None = None,
         race_detect: Any = False,
@@ -205,10 +314,6 @@ class Network:
         # overspending; see Sections 5, 7.2, 8.2).
         self.comm_budget = comm_budget
         self.budget_exhausted = False
-        # Optional observer: called as trace(time, frm, to, tag, cost) for
-        # every accepted transmission (debugging / timeline visualisation).
-        # Composes with a recorder — both fire for every accepted send.
-        self.trace = trace
         # Structured recorder (repro.obs).  `_rec` is the normalized hot-
         # path handle: None unless a recorder is present *and* enabled, so
         # the untraced fast path is one identity check per event.
@@ -233,11 +338,15 @@ class Network:
         self._down: set[Vertex] = set()
         self._deferred_timers: dict[Vertex, list[Callable[[], None]]] = {}
         self._finished_count = 0
-        self._channel_clear: dict[tuple[Vertex, Vertex], float] = {}
+        # The send path is fixed here, once: any armed hook selects the
+        # general context, a plain run gets the lean one.
+        armed = (comm_budget is not None or self._rec is not None
+                 or faults is not None or serialize or bool(race_detect))
+        context = _ArmedContext if armed else _NodeContext
         self.processes: dict[Vertex, Process] = {}
         for v in graph.vertices:
             proc = factory(v)
-            proc.ctx = _NodeContext(self, v)
+            proc.ctx = context(self, v)
             self.processes[v] = proc
         # Shared-state race detector (repro.analysis.race).  `_race` is the
         # normalized handle: None unless armed, so the send path pays one
@@ -256,78 +365,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # Internal plumbing
     # ------------------------------------------------------------------ #
-
-    def _transmit(
-        self, frm: Vertex, to: Vertex, payload: Any, size: float, tag: str | None
-    ) -> None:
-        if frm in self._down:
-            return  # a crashed node cannot transmit
-        weight = self.graph.weight(frm, to)
-        if self.comm_budget is not None and (
-            self.metrics.comm_cost + weight * size > self.comm_budget
-        ):
-            self.budget_exhausted = True
-            # Also halt the event queue's fast drain loop (run() probes
-            # this flag after every event when a budget is configured).
-            self.queue.halted = True
-            return
-        tag = tag or self.default_tag
-        self.metrics.record_message(weight, size, tag)
-        now = self.queue.now
-        rec = self._rec
-        if self.trace is not None:
-            self.trace(now, frm, to, tag, weight * size)
-        if rec is not None:
-            msg_id = rec.record_send(now, frm, to, tag, weight * size, size)
-        delay = self.delay_model.delay(frm, to, weight, self.rng)
-        channel = (frm, to)
-        if self.serialize:
-            start = max(now, self._channel_clear.get(channel, 0.0))
-            arrive = start + delay
-        else:
-            # FIFO per directed channel even with pipelining: a message may
-            # not overtake an earlier one on the same channel.
-            arrive = max(now + delay, self._channel_clear.get(channel, 0.0))
-        # The channel timing of a transmission is independent of its fate:
-        # a dropped message still occupied the channel (it was transmitted,
-        # then lost) and still cost w(e) * size above — the sender pays per
-        # transmission, which is what makes retransmission overhead a
-        # meaningful cost-sensitive quantity.
-        self._channel_clear[channel] = arrive
-        race = self._race
-        if self.faults is None:
-            # schedule_call_at stores (fn, args) in the event's slots: no
-            # capturing closure is allocated per message, and same-time
-            # deliveries batch into one heap entry (see sim.events).
-            if rec is None:
-                self.queue.schedule_call_at(arrive, self._deliver,
-                                            frm, to, payload)
-            else:
-                self.queue.schedule_call_at(arrive, self._deliver_traced,
-                                            frm, to, payload, msg_id)
-            if race is not None:
-                race.note_scheduled(payload)
-            return
-        fate, deliveries = self.faults.fate(frm, to, weight, payload,
-                                            self.fault_rng)
-        if fate != "deliver":
-            self.metrics.record_fault(fate)
-            if rec is not None:
-                rec.record_drop(now, frm, to, fate, ref=msg_id)
-        for extra, out_payload in deliveries:
-            # Extra adversarial delay (duplicates, reorders) bypasses the
-            # FIFO clamp on purpose: later messages may overtake.
-            if rec is None:
-                self.queue.schedule_call_at(
-                    arrive + extra, self._deliver, frm, to, out_payload
-                )
-            else:
-                self.queue.schedule_call_at(
-                    arrive + extra, self._deliver_traced,
-                    frm, to, out_payload, msg_id
-                )
-            if race is not None:
-                race.note_scheduled(out_payload)
 
     def _deliver(self, frm: Vertex, to: Vertex, payload: Any) -> None:
         if to in self._down:
@@ -428,6 +465,13 @@ class Network:
         the deadline still run; none past it does), or ``max_events``
         events have fired (a runaway-protocol backstop that raises
         ``RuntimeError``).  The reason is reported as ``RunResult.status``.
+
+        One loop serves every run: ``stop_when`` is probed by
+        :meth:`EventQueue.run` before the first event and after each one,
+        and only while events are still queued (a run that drains is
+        ``"quiescent"``).  At each probe the communication budget comes
+        first, then ``stop_when``, then ``max_time``.  A budget exhausted
+        in ``on_start`` aborts the run before its first event.
         """
         if self.faults is not None:
             reset = getattr(self.faults, "reset", None)
@@ -446,40 +490,25 @@ class Network:
             for node, proc in self.processes.items():
                 with self._race.run_as(node):
                     proc.on_start()
-        status = "quiescent"
-        fired = 0
-        if stop_when is None:
-            # Fast path: let the queue drain itself in one tight loop.
+        if self.budget_exhausted:
+            # A send in on_start was already refused: abort before the
+            # first event, as the budget probe would after any event.
+            reason, fired = "halted", 0
+        else:
             # The halt probe is only needed when a budget can suppress
             # sends mid-run (the only thing that halts the queue).
             reason, fired = self.queue.run(
                 max_time=max_time,
                 max_events=max_events,
                 check_halt=self.comm_budget is not None,
+                stop_when=None if stop_when is None else partial(stop_when,
+                                                                 self),
             )
-            if reason == "max_events":
-                raise RuntimeError(
-                    f"exceeded {max_events} events; runaway protocol?")
-            if reason == "max_time":
-                status = "max_time"
-        else:
-            events = 0
-            while self.queue:
-                if self.budget_exhausted:
-                    break
-                if stop_when(self):
-                    status = "stopped"
-                    break
-                if self.queue.peek_time() > max_time:
-                    status = "max_time"
-                    break
-                if not self.queue.step():
-                    break
-                events += 1
-                if events >= max_events:
-                    raise RuntimeError(
-                        f"exceeded {max_events} events; runaway protocol?")
-            fired = events
+        if reason == "max_events":
+            raise RuntimeError(
+                f"exceeded {max_events} events; runaway protocol?")
+        # "halted" is always a budget abort, stamped below.
+        status = reason if reason in ("max_time", "stopped") else "quiescent"
         if self.budget_exhausted:
             status = "budget_exhausted"
         if self._rec is not None:

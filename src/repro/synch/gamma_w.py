@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Callable
+from functools import partial
+from operator import attrgetter
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
@@ -43,6 +45,7 @@ from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
 from .gamma import GammaNode
+from .host_base import HostSyncShim
 from .normalize import InSynchWrapper, normalize_graph
 from .partition import ClusterPartition, build_partition
 
@@ -81,27 +84,6 @@ class GammaWConfig:
         return [i for i, parts in self.participants.items() if v in parts]
 
 
-class _HostSyncShim:
-    """The SyncContext look-alike handed to the hosted InSynchWrapper."""
-
-    def __init__(self, host: GammaWHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights  # normalized weights
-        self.finished = False
-        self.result: Any = None
-
-    def send(self, to: Vertex, payload: Any) -> None:
-        self._host.protocol_send(to, payload)
-
-    def finish(self, result: Any = None) -> None:
-        if not self.finished:
-            self.finished = True
-            self.result = result
-            self._host.wrapper_finished(result)
-
-
 class GammaWHost(Process):
     """One node of the gamma_w synchronizer hosting one wrapped protocol."""
 
@@ -129,35 +111,48 @@ class GammaWHost(Process):
         self.pulses_executed = 0
         self._inbox: dict[int, list] = defaultdict(list)
         self._advancing = False
+        self._traced = False
 
     # -------------------------------------------------------------- #
     # Wiring
     # -------------------------------------------------------------- #
 
     def on_start(self) -> None:
-        self.wrapper.sync = _HostSyncShim(self)
+        self.wrapper.sync = HostSyncShim(self)
+        # Decided once per host: an untraced run sends its control
+        # traffic without opening the (no-op) trace spans around it.
+        self._traced = self.ctx.traced
+        send = self._send_gamma_traced if self._traced else self._send_gamma
         for i in self.my_levels:
             self.gammas[i] = GammaNode(
                 self._node,
                 self.config.partitions[i],
-                send=lambda to, msg, i=i: self._send_gamma(to, i, msg),
-                on_go=lambda P, i=i: self._on_go(i, P),
+                send=partial(send, i),
+                on_go=partial(self._on_go, i),
             )
         self._advance()
 
-    def _send_gamma(self, to: Vertex, i: int, msg: Any) -> None:
+    def _send_gamma(self, i: int, to: Vertex, msg: Any) -> None:
+        self.send(to, ("gamma", i, msg), tag="sync-gamma")
+
+    def _send_gamma_traced(self, i: int, to: Vertex, msg: Any) -> None:
         with self.trace_span("sync-gamma", detail=i):
             self.send(to, ("gamma", i, msg), tag="sync-gamma")
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
+        # No arrival calls _advance(): _may_execute reads only go_level
+        # and next_pulse, and every change to those (a GO, delivered
+        # through _on_go) advances on its own.
         kind = payload[0]
         if kind == "proto":
             _, wire, send_pulse = payload
             arrive_pulse = send_pulse + int(self.edge_weight(frm))
             self._inbox[arrive_pulse].append((frm, wire))
-            with self.trace_span("sync-ack"):
+            if self._traced:
+                with self.trace_span("sync-ack"):
+                    self.send(frm, ("ack", send_pulse), tag="sync-ack")
+            else:
                 self.send(frm, ("ack", send_pulse), tag="sync-ack")
-            self._advance()
         elif kind == "ack":
             _, send_pulse = payload
             i = self._level_of_edge(frm)
@@ -167,7 +162,6 @@ class GammaWHost(Process):
         elif kind == "gamma":
             _, i, msg = payload
             self.gammas[i].handle(frm, msg)
-            self._advance()
         else:  # pragma: no cover
             raise AssertionError(f"unknown gamma_w message {kind!r}")
 
@@ -305,7 +299,7 @@ def run_gamma_w(
         comm_budget=budget,
         recorder=recorder,
     )
-    net_result = net.run(stop_when=lambda nw: nw.all_finished)
+    net_result = net.run(stop_when=attrgetter("all_finished"))
     if not net.all_finished:
         if budget is not None:
             return GammaWResult(net_result, cfg, max_pulse, completed=False)

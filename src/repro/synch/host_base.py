@@ -35,9 +35,13 @@ __all__ = ["HostSyncShim", "SynchronizerHostBase"]
 
 
 class HostSyncShim:
-    """SyncContext look-alike handed to the hosted InSynchWrapper."""
+    """SyncContext look-alike handed to the hosted InSynchWrapper.
 
-    def __init__(self, host: SynchronizerHostBase) -> None:
+    Shared by every synchronizer host, gamma_w's included: the host only
+    needs ``node_id``, ``ctx``, ``protocol_send`` and ``wrapper_finished``.
+    """
+
+    def __init__(self, host: Any) -> None:
         self._host = host
         self.node_id = host.node_id
         self.neighbors = host.ctx.neighbors
@@ -118,9 +122,10 @@ class SynchronizerHostBase(Process):
             _, wire, send_pulse = payload
             arrive_pulse = send_pulse + int(self.edge_weight(frm))
             self._inbox[arrive_pulse].append((frm, wire))
+            # No _advance(): the admission rules never read the inbox, so
+            # a protocol arrival cannot admit a pulse.
             with self.trace_span("sync-ack"):
                 self.send(frm, ("ack", send_pulse), tag="sync-ack")
-            self._advance()
         elif kind == "ack":
             self._on_ack(frm, payload[1])
         else:

@@ -4,12 +4,12 @@ Three properties every run must satisfy regardless of protocol, delay
 model, or fault plan:
 
 * **Per-edge FIFO** — messages on one directed channel are delivered in
-  send order and never overtake (the ``_channel_clear`` clamp), even
+  send order and never overtake (the FIFO clamp of the send path), even
   under randomized per-message delays;
 * **Deadline** — nothing is delivered after ``max_time``; events exactly
   at the deadline still fire, later ones stay queued;
-* **Ledger conservation** — the sum of per-edge charges (observed through
-  the ``trace`` hook at transmit time) equals ``Metrics.comm_cost``,
+* **Ledger conservation** — the sum of per-edge charges (the recorder's
+  ``send`` events, recorded at transmit time) equals ``Metrics.comm_cost``,
   which in turn equals the sum over tags of ``cost_by_tag`` — including
   the reliable transport's ``rel-ack``/``rel-retry`` components under
   message loss.
@@ -20,6 +20,7 @@ import random
 from repro.faults import FaultPlan
 from repro.faults.transport import reliable_factory
 from repro.graphs import WeightedGraph, random_connected_graph
+from repro.obs import TraceRecorder
 from repro.protocols.broadcast import FloodProcess
 from repro.sim.delays import UniformDelay
 from repro.sim.network import Network
@@ -127,13 +128,14 @@ def test_events_exactly_at_deadline_still_fire():
 
 def _ledger(net_factory):
     """Run a network while accumulating trace charges per directed edge."""
-    per_edge = {}
-
-    def trace(t, frm, to, tag, cost):
-        per_edge[(frm, to)] = per_edge.get((frm, to), 0.0) + cost
-
-    net = net_factory(trace)
+    rec = TraceRecorder()
+    net = net_factory(rec)
     result = net.run()
+    per_edge = {}
+    for e in rec.events:
+        if e.kind == "send":
+            per_edge[(e.node, e.peer)] = per_edge.get((e.node, e.peer),
+                                                      0.0) + e.cost
     return per_edge, result.metrics
 
 
@@ -141,8 +143,8 @@ def test_cost_ledger_conservation_fault_free():
     g = random_connected_graph(10, 14, seed=2)
     root = g.vertices[0]
     per_edge, metrics = _ledger(
-        lambda trace: Network(g, lambda v: FloodProcess(v == root, "x"),
-                              trace=trace)
+        lambda rec: Network(g, lambda v: FloodProcess(v == root, "x"),
+                            recorder=rec)
     )
     total = sum(per_edge.values())
     assert abs(total - metrics.comm_cost) < 1e-9
@@ -159,7 +161,7 @@ def test_cost_ledger_conservation_with_reliable_transport_under_loss():
     plan = FaultPlan.message_loss(0.2, seed=11)
     factory = reliable_factory(lambda v: FloodProcess(v == root, "x"))
     per_edge, metrics = _ledger(
-        lambda trace: Network(g, factory, faults=plan, trace=trace)
+        lambda rec: Network(g, factory, faults=plan, recorder=rec)
     )
     # The lossy run actually exercised the retransmission machinery.
     assert metrics.cost_by_tag["rel-ack"] > 0
@@ -192,9 +194,9 @@ def test_ledger_conservation_under_random_delays_and_seeds():
         g = random_connected_graph(8, 8, seed=seed % 100)
         root = g.vertices[0]
         per_edge, metrics = _ledger(
-            lambda trace: Network(g, lambda v: FloodProcess(v == root, "x"),
-                                  delay=UniformDelay(0.0, 1.0), seed=seed,
-                                  trace=trace)
+            lambda rec: Network(g, lambda v: FloodProcess(v == root, "x"),
+                                delay=UniformDelay(0.0, 1.0), seed=seed,
+                                recorder=rec)
         )
         assert abs(sum(per_edge.values()) - metrics.comm_cost) < 1e-9
         assert abs(sum(metrics.cost_by_tag.values()) - metrics.comm_cost) < 1e-9

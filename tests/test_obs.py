@@ -101,16 +101,18 @@ def test_null_recorder_is_normalized_away():
 
 
 def test_trace_callback_and_recorder_compose():
-    seen = []
+    # The recorder's send events are the per-transmission callback: one
+    # per accepted send, in send order, each answered by the delivery
+    # that names it, and together they reproduce the run's metrics.
     rec = TraceRecorder()
-    _, result = flood_run(
-        ring_graph(6, weight=1.0), recorder=rec,
-        trace=lambda t, frm, to, tag, cost: seen.append((t, frm, to)),
-    )
-    # Regression: both observers fire for every accepted transmission.
-    assert len(seen) == result.message_count == rec.counts["send"]
-    sends = [(e.t, e.node, e.peer) for e in rec.events if e.kind == "send"]
-    assert seen == sends
+    _, result = flood_run(ring_graph(6, weight=1.0), recorder=rec)
+    sends = [e for e in rec.events if e.kind == "send"]
+    assert len(sends) == result.message_count == rec.counts["send"]
+    assert [e.t for e in sends] == sorted(e.t for e in sends)
+    assert sum(e.cost for e in sends) == result.comm_cost
+    delivered = {e.ref: (e.peer, e.node) for e in rec.events
+                 if e.kind == "deliver"}
+    assert {e.seq: (e.node, e.peer) for e in sends} == delivered
 
 
 # --------------------------------------------------------------------- #

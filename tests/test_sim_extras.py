@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.measures import report
 from repro.graphs import WeightedGraph, network_params, path_graph, ring_graph
+from repro.obs import TraceRecorder
 from repro.sim import Network, PerEdgeDelay, Process
 
 
@@ -70,14 +71,17 @@ def test_budget_exactly_sufficient_run_completes():
 # --------------------------------------------------------------------- #
 
 
+def _sends(rec):
+    return [(e.t, e.node, e.peer, e.tag, e.cost) for e in rec.events
+            if e.kind == "send"]
+
+
 def test_trace_records_every_transmission():
-    events = []
+    rec = TraceRecorder()
     g = path_graph(4, weight=3.0)
-    net = Network(
-        g, lambda v: Chain(),
-        trace=lambda t, u, v, tag, cost: events.append((t, u, v, tag, cost)),
-    )
+    net = Network(g, lambda v: Chain(), recorder=rec)
     net.run()
+    events = _sends(rec)
     assert len(events) == 3
     assert events[0] == (0.0, 0, 1, "msg", 3.0)
     assert events[1][0] == 3.0 and events[1][1:3] == (1, 2)
@@ -86,14 +90,11 @@ def test_trace_records_every_transmission():
 
 
 def test_trace_not_called_for_suppressed_sends():
-    events = []
+    rec = TraceRecorder()
     g = path_graph(5, weight=10.0)
-    net = Network(
-        g, lambda v: Chain(), comm_budget=20.0,
-        trace=lambda *a: events.append(a),
-    )
+    net = Network(g, lambda v: Chain(), comm_budget=20.0, recorder=rec)
     net.run()
-    assert len(events) == 2  # the third hop was refused
+    assert len(_sends(rec)) == 2  # the third hop was refused
 
 
 # --------------------------------------------------------------------- #
