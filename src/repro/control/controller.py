@@ -35,48 +35,9 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.network import Network, RunResult
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = ["ControlledHost", "run_controlled", "run_controlled_multi", "ControlOutcome"]
-
-
-class _InnerShim:
-    """Process-context shim that routes the inner protocol's sends through
-    the controller's permit machinery."""
-
-    def __init__(self, host: ControlledHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def now(self) -> float:
-        return self._host.ctx.now
-
-    @property
-    def traced(self) -> bool:
-        return self._host.ctx.traced
-
-    def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        self._host.controlled_send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback) -> None:
-        self._host.ctx.set_timer(delay, callback)
-
-    def span(self, name: str, detail: Any = None):
-        return self._host.ctx.span(name, detail)
-
-    def trace_pulse(self, pulse: int) -> None:
-        self._host.ctx.trace_pulse(pulse)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
-            self._host.inner_finished(result)
 
 
 class ControlledHost(Process):
@@ -116,7 +77,7 @@ class ControlledHost(Process):
     def on_start(self) -> None:
         # Every node initializes its local protocol state; in the diffusing
         # model non-initiators stay passive until their first message.
-        self.inner.ctx = _InnerShim(self)
+        self.inner.ctx = HostedContext(self)
         self.inner.on_start()
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
@@ -140,8 +101,8 @@ class ControlledHost(Process):
     # Consumption path
     # -------------------------------------------------------------- #
 
-    def controlled_send(self, to: Vertex, payload: Any, size: float,
-                        tag: str | None) -> None:
+    def hosted_send(self, to: Vertex, payload: Any, size: float,
+                    tag: str | None) -> None:
         cost = self.edge_weight(to) * size
         self._send_queue.append((to, payload, size, tag, cost))
         self._flush()
@@ -244,7 +205,7 @@ class ControlledHost(Process):
                 if v != frm:
                     self.send(v, ("halt",), tag="ctl-halt")
 
-    def inner_finished(self, result: Any) -> None:
+    def hosted_finish(self, result: Any) -> None:
         self.finish(result)
 
 

@@ -33,7 +33,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.network import Network, RunResult
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = [
     "extract_ids",
@@ -76,42 +76,6 @@ def _scan(obj: Any, universe: frozenset, found: set) -> None:
                 found.add(v)
 
 
-class _AuditShim:
-    """Pass-through context that lets the auditor observe traffic."""
-
-    def __init__(self, outer: IdAuditedProcess) -> None:
-        self._outer = outer
-        self.node_id = outer.ctx.node_id
-        self.neighbors = outer.ctx.neighbors
-        self.weights = outer.ctx.weights
-
-    @property
-    def now(self):
-        return self._outer.ctx.now
-
-    @property
-    def traced(self):
-        return self._outer.ctx.traced
-
-    @property
-    def is_finished(self):
-        return self._outer.ctx.is_finished
-
-    @property
-    def result(self):
-        return self._outer.ctx.result
-
-    def send(self, to, payload, size, tag):
-        self._outer.record_send(payload)
-        self._outer.ctx.send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback):
-        self._outer.ctx.set_timer(delay, callback)
-
-    def finish(self, result):
-        self._outer.ctx.finish(result)
-
-
 class IdAuditedProcess(Process):
     """Wraps a protocol instance, recording the ids it learns and ships."""
 
@@ -125,12 +89,17 @@ class IdAuditedProcess(Process):
         # A priori knowledge: own id and the neighbor registers.
         self.known.add(self.node_id)
         self.known.update(self.neighbors())
-        self.inner.ctx = _AuditShim(self)
+        self.inner.ctx = HostedContext(self)
         self.inner.on_start()
 
-    def record_send(self, payload: Any) -> None:
+    def hosted_send(self, to: Vertex, payload: Any, size: float,
+                    tag: str | None) -> None:
         for vid in extract_ids(payload, self.universe):
             self.sent_crossings[vid] += 1
+        self.ctx.send(to, payload, size, tag)
+
+    def hosted_finish(self, result: Any) -> None:
+        self.finish(result)
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
         self.known |= extract_ids(payload, self.universe)

@@ -1,12 +1,12 @@
 """A cost-accounted reliable transport over lossy weighted channels.
 
 :class:`ReliableProcess` wraps any :class:`~repro.sim.process.Process`
-without modifying protocol code (the same shim-context technique as
-:class:`~repro.sim.mux.MuxProcess`): every send of the inner protocol is
-framed with a per-destination sequence number, acknowledged by the
-receiver, and retransmitted on timeout until acknowledged; the receiver
-suppresses duplicates and releases frames to the inner protocol *in
-sequence order*, restoring the FIFO-channel abstraction the protocols
+without modifying protocol code (the inner protocol runs on a
+:class:`~repro.sim.process.HostedContext`): every send of the inner
+protocol is framed with a per-destination sequence number, acknowledged
+by the receiver, and retransmitted on timeout until acknowledged; the
+receiver suppresses duplicates and releases frames to the inner protocol
+*in sequence order*, restoring the FIFO-channel abstraction the protocols
 were written against even when the adversary drops, duplicates, corrupts
 or reorders transmissions.
 
@@ -34,7 +34,7 @@ from collections.abc import Callable
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 from .plan import CorruptedPayload
 
 __all__ = ["ACK_TAG", "RETRY_TAG", "ReliableProcess", "reliable_factory",
@@ -45,56 +45,6 @@ RETRY_TAG = "rel-retry"
 
 _DATA = "rel-data"
 _ACK = "rel-ack"
-
-
-class _ReliableContext:
-    """Shim context giving the wrapped protocol the normal Process surface."""
-
-    __slots__ = ("_outer", "is_finished", "result")
-
-    def __init__(self, outer: ReliableProcess) -> None:
-        self._outer = outer
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def node_id(self) -> Vertex:
-        return self._outer.ctx.node_id
-
-    @property
-    def neighbors(self) -> list:
-        return self._outer.ctx.neighbors
-
-    @property
-    def weights(self) -> dict:
-        return self._outer.ctx.weights
-
-    @property
-    def now(self) -> float:
-        return self._outer.ctx.now
-
-    @property
-    def traced(self) -> bool:
-        return self._outer.ctx.traced
-
-    def send(self, to: Vertex, payload: Any, size: float,
-             tag: str | None) -> None:
-        self._outer._send_data(to, payload, size, tag)
-
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
-        self._outer.ctx.set_timer(delay, callback)
-
-    def span(self, name: str, detail: Any = None):
-        return self._outer.ctx.span(name, detail)
-
-    def trace_pulse(self, pulse: int) -> None:
-        self._outer.ctx.trace_pulse(pulse)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
-            self._outer.finish(result)
 
 
 class ReliableProcess(Process):
@@ -159,7 +109,7 @@ class ReliableProcess(Process):
     # ------------------------------------------------------------------ #
 
     def on_start(self) -> None:
-        self.inner.ctx = _ReliableContext(self)
+        self.inner.ctx = HostedContext(self)
         self.inner.on_start()
 
     def on_recover(self) -> None:
@@ -172,8 +122,8 @@ class ReliableProcess(Process):
     # Sender side
     # ------------------------------------------------------------------ #
 
-    def _send_data(self, to: Vertex, payload: Any, size: float,
-                   tag: str | None) -> None:
+    def hosted_send(self, to: Vertex, payload: Any, size: float,
+                    tag: str | None) -> None:
         seq = self._next_seq.get(to, 0)
         self._next_seq[to] = seq + 1
         frame = (_DATA, seq, payload)
@@ -183,6 +133,9 @@ class ReliableProcess(Process):
         # breakdown is identical with and without the transport.
         self.send(to, frame, size=size, tag=tag)
         self.set_timer(timeout, lambda: self._check_ack(to, seq))
+
+    def hosted_finish(self, result: Any) -> None:
+        self.finish(result)
 
     def _check_ack(self, to: Vertex, seq: int) -> None:
         entry = self._outstanding.get((to, seq))

@@ -25,40 +25,9 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.network import Network, RunResult
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = ["DSHost", "run_with_termination_detection"]
-
-
-class _InnerShim:
-    """Routes the hosted protocol's sends through the DS accounting."""
-
-    def __init__(self, host: DSHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def now(self) -> float:
-        return self._host.ctx.now
-
-    @property
-    def traced(self) -> bool:
-        return self._host.ctx.traced
-
-    def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        self._host.ds_send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback) -> None:
-        self._host.ctx.set_timer(delay, callback)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
 
 
 class DSHost(Process):
@@ -78,17 +47,21 @@ class DSHost(Process):
         self.terminated = False
 
     def on_start(self) -> None:
-        self.inner.ctx = _InnerShim(self)
+        self.inner.ctx = HostedContext(self)
         self.inner.on_start()
         if self.is_initiator:
             self._check_quiescent()
 
     # ------------------------------------------------------------- #
 
-    def ds_send(self, to: Vertex, payload: Any, size: float,
-                tag: str | None) -> None:
+    def hosted_send(self, to: Vertex, payload: Any, size: float,
+                    tag: str | None) -> None:
         self.deficit += 1
         self.send(to, ("m", payload), size=size, tag=f"ds-proto.{tag or 'msg'}")
+
+    def hosted_finish(self, result: Any) -> None:
+        """Only recorded (``inner.ctx.result``): the host finishes when
+        termination is detected, not when the inner protocol does."""
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
         kind = payload[0]

@@ -4,7 +4,7 @@ from .delays import DelayModel, MaximalDelay, PerEdgeDelay, ScaledDelay, Uniform
 from .events import EventQueue
 from .metrics import Metrics
 from .network import Network, RunResult
-from .process import Process
+from .process import HostedContext, Process
 from .sync_runner import (
     SyncContext,
     SynchronousProtocol,
@@ -16,6 +16,7 @@ __all__ = [
     "EventQueue",
     "Metrics",
     "Process",
+    "HostedContext",
     "Network",
     "RunResult",
     "DelayModel",
@@ -28,7 +29,3 @@ __all__ = [
     "SynchronousRunner",
     "SyncRunResult",
 ]
-
-from .mux import MuxProcess  # noqa: E402
-
-__all__.append("MuxProcess")

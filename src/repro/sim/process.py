@@ -15,7 +15,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex
 
-__all__ = ["Process"]
+__all__ = ["HostedContext", "Process"]
 
 
 class Process:
@@ -23,10 +23,13 @@ class Process:
 
     Subclasses override :meth:`on_start` and :meth:`on_message`.  The
     hosting :class:`~repro.sim.network.Network` injects ``self.ctx`` before
-    calling ``on_start``; the helpers below all delegate to it.
+    calling ``on_start``; the helpers below all delegate to it.  A process
+    layered inside another one gets a :class:`HostedContext` instead.
     """
 
-    ctx: Any  # injected _NodeContext; typed Any to avoid the import cycle
+    # Injected _NodeContext (or HostedContext when layered inside a host);
+    # typed Any to avoid the import cycle.
+    ctx: Any
 
     # ------------------------------------------------------------------ #
     # Framework surface (subclasses override these)
@@ -97,3 +100,56 @@ class Process:
     @property
     def finished(self) -> bool:
         return self.ctx.is_finished
+
+
+class HostedContext:
+    """The context a layering host hands to the process it wraps.
+
+    A host (reliable transport, controller, termination detector, id
+    auditor) installs ``self.inner.ctx = HostedContext(self)`` in its own
+    ``on_start``.  The inner process then sees the ordinary
+    :class:`Process` surface: ``node_id``, ``neighbors``, ``weights`` and
+    ``traced`` are copied from the host's context (they are fixed for the
+    life of a network); ``now``, ``set_timer``, ``span`` and
+    ``trace_pulse`` forward to it.  Exactly two calls are routed to the
+    host itself: every ``send`` goes to ``host.hosted_send(to, payload,
+    size, tag)`` and the first ``finish`` to ``host.hosted_finish(result)``,
+    after this context records ``is_finished``/``result``.
+    """
+
+    __slots__ = ("_host", "_ctx", "node_id", "neighbors", "weights",
+                 "traced", "is_finished", "result")
+
+    def __init__(self, host: Process) -> None:
+        ctx = host.ctx
+        self._host = host
+        self._ctx = ctx
+        self.node_id = ctx.node_id
+        self.neighbors = ctx.neighbors
+        self.weights = ctx.weights
+        self.traced = ctx.traced
+        self.is_finished = False
+        self.result: Any = None
+
+    @property
+    def now(self) -> float:
+        return self._ctx.now
+
+    def send(self, to: Vertex, payload: Any, size: float,
+             tag: str | None) -> None:
+        self._host.hosted_send(to, payload, size, tag)
+
+    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
+        self._ctx.set_timer(delay, callback)
+
+    def finish(self, result: Any) -> None:
+        if not self.is_finished:
+            self.is_finished = True
+            self.result = result
+            self._host.hosted_finish(result)
+
+    def span(self, name: str, detail: Any = None):
+        return self._ctx.span(name, detail)
+
+    def trace_pulse(self, pulse: int) -> None:
+        self._ctx.trace_pulse(pulse)

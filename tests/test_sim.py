@@ -8,7 +8,6 @@ from repro.graphs import WeightedGraph, path_graph, ring_graph
 from repro.sim import (
     EventQueue,
     MaximalDelay,
-    MuxProcess,
     Network,
     PerEdgeDelay,
     Process,
@@ -238,48 +237,3 @@ def test_run_result_accessors():
     result = net.run()
     assert result.result_of(1) == "done"
     assert set(result.results()) == {0, 1}
-
-
-# --------------------------------------------------------------------- #
-# Mux
-# --------------------------------------------------------------------- #
-
-
-def test_mux_runs_two_protocols_independently():
-    g = WeightedGraph([(0, 1, 2.0)])
-
-    def factory(v):
-        return MuxProcess({
-            "a": PingPong(v == 0, 2),
-            "b": PingPong(v == 1, 4),
-        })
-
-    net = Network(g, factory)
-    result = net.run()
-    # part a: 3 messages, part b: 5 messages; each costs 2.
-    m = result.metrics
-    a_count = sum(n for t, n in m.count_by_tag.items() if t.startswith("a."))
-    b_count = sum(n for t, n in m.count_by_tag.items() if t.startswith("b."))
-    assert a_count == 3
-    assert b_count == 5
-    assert m.comm_cost == (3 + 5) * 2.0
-    # finish: both nodes finish once both their parts finish... part 'a'
-    # finishes at node 1 (receiver of final ping), part 'b' at node 0.
-    # With default finish_when=all, nodes don't finish here (each node only
-    # completes one part), so just check part results directly.
-    proc0 = result.processes[0]
-    assert proc0.part("b").ctx.is_finished
-
-
-def test_mux_finish_when_any():
-    g = WeightedGraph([(0, 1, 2.0)])
-
-    def factory(v):
-        return MuxProcess(
-            {"a": PingPong(v == 0, 0), "b": PingPong(v == 1, 50)},
-            finish_when=lambda done: len(done) >= 1,
-        )
-
-    net = Network(g, factory)
-    result = net.run(stop_when=lambda n: n.all_finished)
-    assert result.processes[1].ctx.is_finished
